@@ -1131,11 +1131,18 @@ fn e14() -> Experiment {
             format!("{:.1}", targets.iter().map(|&t| t as f64).sum::<f64>()
                 / targets.len() as f64),
             "1.00x".into(),
+            "-".into(),
+            "-".into(),
+            "-".into(),
         ]);
         let mut interval_fields = Vec::new();
         for interval in INTERVALS {
             let index = CheckpointIndex::build(&program, &recording, interval)?;
-            let index_bytes = index.to_bytes().len();
+            let persisted = index.to_bytes();
+            let index_bytes = persisted.len();
+            let index_bytes_compressed = qr_store::block::compress(&persisted).len();
+            let keyframes = index.keys.iter().filter(|k| k.keyframe).count();
+            let checkpoints = index.keys.len();
             let mean_reexec = targets.iter().map(|&t| reexec(&index, t) as f64).sum::<f64>()
                 / targets.len() as f64;
             let mut indexed = QueryEngine::new(&program, &recording)?;
@@ -1146,10 +1153,15 @@ fn e14() -> Experiment {
                 format!("{us:.1}"),
                 format!("{mean_reexec:.1}"),
                 format!("{:.2}x", scratch_us / us.max(f64::MIN_POSITIVE)),
+                index_bytes.to_string(),
+                index_bytes_compressed.to_string(),
+                format!("{keyframes}/{checkpoints}"),
             ]);
             interval_fields.push(format!(
                 "    {{ \"interval\": {interval}, \"mean_seek_us\": {us:.2}, \
-                 \"mean_reexec_events\": {mean_reexec:.2}, \"index_bytes\": {index_bytes} }}"
+                 \"mean_reexec_events\": {mean_reexec:.2}, \"index_bytes\": {index_bytes}, \
+                 \"index_bytes_compressed\": {index_bytes_compressed}, \
+                 \"keyframes\": {keyframes}, \"checkpoints\": {checkpoints} }}"
             ));
         }
         out.rows.push(vec![
@@ -1157,6 +1169,9 @@ fn e14() -> Experiment {
             format!("{cases} cases"),
             format!("{drift} drift"),
             if drift == 0 { "PASS".into() } else { "FAIL".into() },
+            "-".into(),
+            "-".into(),
+            "-".into(),
         ]);
 
         let json_path =
@@ -1190,11 +1205,15 @@ fn e14() -> Experiment {
             "mean seek us".into(),
             "mean reexec events".into(),
             "speedup".into(),
+            "index bytes".into(),
+            "compressed".into(),
+            "keyframes".into(),
         ],
         jobs: vec![job],
         footer: Footer::Static(
             "(the interval trades sidecar bytes for seek latency: smaller intervals re-execute \
-             fewer events per seek but persist more snapshots — see DESIGN.md, decision 12)",
+             fewer events per seek but persist more checkpoints; every 16th is a full snapshot, \
+             the rest memory deltas — see DESIGN.md, decision 12)",
         ),
     }
 }

@@ -546,45 +546,34 @@ impl Recording {
     /// one: full strict decode of metadata, chunk log and input log,
     /// reporting per-file size, format and the first fault (if any).
     pub fn verify_dir(dir: &std::path::Path) -> VerifyReport {
-        let mut files = Vec::new();
-        files.push(FileCheck::run(dir, Self::META_FILE, |buf| {
-            RecordingMeta::from_bytes(buf).map(|_| ())
-        }));
-        files.push(FileCheck::run(dir, Self::CHUNKS_FILE, |buf| {
-            ChunkLog::from_bytes(buf).map(|_| ())
-        }));
-        files.push(FileCheck::run(dir, Self::INPUTS_FILE, |buf| {
-            InputLog::from_bytes(buf).map(|_| ())
-        }));
-        // The footprint sidecar is optional: legacy recordings without
-        // one still verify clean, but a present-and-corrupt one fails.
-        if dir.join(Self::FOOTPRINTS_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::FOOTPRINTS_FILE, |buf| {
-                FootprintLog::from_bytes(buf).map(|_| ())
-            }));
-        }
-        // Same contract for the format manifest (v1/v2 layouts lack it).
-        if dir.join(Self::FORMAT_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::FORMAT_FILE, |buf| {
-                crate::format::FormatManifest::from_bytes(buf).map(|_| ())
-            }));
-        }
-        // The checkpoint index is a replay cache: optional, and checked
-        // here at the container level only (the replayer owns its inner
-        // layout and regenerates it when absent).
-        if dir.join(Self::CHECKPOINTS_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::CHECKPOINTS_FILE, |buf| {
-                frame::read(buf, PayloadKind::CheckpointIndex, "checkpoint index").map(|_| ())
-            }));
-        }
-        // The ordering sidecar only exists for partial-order recordings;
-        // when present it must decode strictly end to end.
-        if dir.join(Self::ORDER_FILE).exists() {
-            files.push(FileCheck::run(dir, Self::ORDER_FILE, |buf| {
-                OrderLog::from_bytes(buf).map(|_| ())
-            }));
-        }
+        // The sidecars are optional: recordings without one still verify
+        // clean, but a present-and-corrupt one fails.
+        let files = [
+            (Self::META_FILE, true),
+            (Self::CHUNKS_FILE, true),
+            (Self::INPUTS_FILE, true),
+            (Self::FOOTPRINTS_FILE, false),
+            (Self::FORMAT_FILE, false),
+            (Self::CHECKPOINTS_FILE, false),
+            (Self::ORDER_FILE, false),
+        ];
+        let files = files
+            .into_iter()
+            .filter(|&(name, required)| required || dir.join(name).exists())
+            .map(|(name, _)| match read_file(dir, name) {
+                Ok(buf) => FileCheck::run(name, &buf),
+                Err(e) => FileCheck { error: Some(e), ..FileCheck::named(name) },
+            })
+            .collect();
         VerifyReport { files }
+    }
+
+    /// [`Recording::verify_dir`] over in-memory file images: the same
+    /// per-file checks, with nothing written anywhere.
+    pub fn verify_parts(parts: &RecordingParts) -> VerifyReport {
+        VerifyReport {
+            files: parts.files().into_iter().map(|(name, buf)| FileCheck::run(name, buf)).collect(),
+        }
     }
 
     /// Validates internal consistency (chunk instruction counts vs. the
@@ -603,6 +592,29 @@ impl Recording {
             )));
         }
         Ok(())
+    }
+}
+
+/// The strict decode `verify` runs over one recording file.
+fn strict_decode(name: &str, buf: &[u8]) -> Result<()> {
+    match name {
+        Recording::META_FILE => RecordingMeta::from_bytes(buf).map(drop),
+        Recording::CHUNKS_FILE => ChunkLog::from_bytes(buf).map(drop),
+        Recording::INPUTS_FILE => InputLog::from_bytes(buf).map(drop),
+        Recording::FOOTPRINTS_FILE => FootprintLog::from_bytes(buf).map(drop),
+        Recording::FORMAT_FILE => crate::format::FormatManifest::from_bytes(buf).map(drop),
+        // The checkpoint index is a replay cache, checked here at the
+        // container level only (the replayer owns its inner layout and
+        // regenerates it when absent).
+        Recording::CHECKPOINTS_FILE => {
+            frame::read(buf, PayloadKind::CheckpointIndex, "checkpoint index").map(drop)
+        }
+        Recording::ORDER_FILE => OrderLog::from_bytes(buf).map(drop),
+        other => Err(QrError::Corrupt {
+            what: "recording file set".into(),
+            offset: 0,
+            detail: format!("unexpected file `{other}`"),
+        }),
     }
 }
 
@@ -640,24 +652,34 @@ impl RecordingParts {
     /// `(file name, bytes)` view over the present parts, in the layout
     /// order [`Recording::save`] writes them.
     pub fn files(&self) -> Vec<(&'static str, &[u8])> {
-        let mut out = vec![
-            (Recording::META_FILE, self.meta.as_slice()),
-            (Recording::CHUNKS_FILE, self.chunks.as_slice()),
-            (Recording::INPUTS_FILE, self.inputs.as_slice()),
-        ];
-        if let Some(fp) = &self.footprints {
-            out.push((Recording::FOOTPRINTS_FILE, fp.as_slice()));
-        }
-        if let Some(fm) = &self.format {
-            out.push((Recording::FORMAT_FILE, fm.as_slice()));
-        }
-        if let Some(cp) = &self.checkpoints {
-            out.push((Recording::CHECKPOINTS_FILE, cp.as_slice()));
-        }
-        if let Some(ord) = &self.order {
-            out.push((Recording::ORDER_FILE, ord.as_slice()));
-        }
-        out
+        [
+            (Recording::META_FILE, Some(&self.meta)),
+            (Recording::CHUNKS_FILE, Some(&self.chunks)),
+            (Recording::INPUTS_FILE, Some(&self.inputs)),
+            (Recording::FOOTPRINTS_FILE, self.footprints.as_ref()),
+            (Recording::FORMAT_FILE, self.format.as_ref()),
+            (Recording::CHECKPOINTS_FILE, self.checkpoints.as_ref()),
+            (Recording::ORDER_FILE, self.order.as_ref()),
+        ]
+        .into_iter()
+        .filter_map(|(name, bytes)| Some((name, bytes?.as_slice())))
+        .collect()
+    }
+
+    /// [`RecordingParts::files`] by value: the images move out uncopied.
+    pub fn into_files(self) -> Vec<(&'static str, Vec<u8>)> {
+        [
+            (Recording::META_FILE, Some(self.meta)),
+            (Recording::CHUNKS_FILE, Some(self.chunks)),
+            (Recording::INPUTS_FILE, Some(self.inputs)),
+            (Recording::FOOTPRINTS_FILE, self.footprints),
+            (Recording::FORMAT_FILE, self.format),
+            (Recording::CHECKPOINTS_FILE, self.checkpoints),
+            (Recording::ORDER_FILE, self.order),
+        ]
+        .into_iter()
+        .filter_map(|(name, bytes)| Some((name, bytes?)))
+        .collect()
     }
 
     /// Attaches a serialized checkpoint index and, when a format
@@ -689,6 +711,18 @@ impl RecordingParts {
     /// Returns [`QrError::Corrupt`] when a required file is missing or a
     /// name is not part of the recording layout.
     pub fn from_files<S: AsRef<str>>(files: &[(S, Vec<u8>)]) -> Result<RecordingParts> {
+        Self::from_owned_files(files.iter().map(|(name, bytes)| (name, bytes.clone())))
+    }
+
+    /// [`RecordingParts::from_files`] taking the images by value, so
+    /// none is copied.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordingParts::from_files`].
+    pub fn from_owned_files<S: AsRef<str>>(
+        files: impl IntoIterator<Item = (S, Vec<u8>)>,
+    ) -> Result<RecordingParts> {
         let mut meta = None;
         let mut chunks = None;
         let mut inputs = None;
@@ -698,13 +732,13 @@ impl RecordingParts {
         let mut order = None;
         for (name, bytes) in files {
             match name.as_ref() {
-                n if n == Recording::META_FILE => meta = Some(bytes.clone()),
-                n if n == Recording::CHUNKS_FILE => chunks = Some(bytes.clone()),
-                n if n == Recording::INPUTS_FILE => inputs = Some(bytes.clone()),
-                n if n == Recording::FOOTPRINTS_FILE => footprints = Some(bytes.clone()),
-                n if n == Recording::FORMAT_FILE => format = Some(bytes.clone()),
-                n if n == Recording::CHECKPOINTS_FILE => checkpoints = Some(bytes.clone()),
-                n if n == Recording::ORDER_FILE => order = Some(bytes.clone()),
+                n if n == Recording::META_FILE => meta = Some(bytes),
+                n if n == Recording::CHUNKS_FILE => chunks = Some(bytes),
+                n if n == Recording::INPUTS_FILE => inputs = Some(bytes),
+                n if n == Recording::FOOTPRINTS_FILE => footprints = Some(bytes),
+                n if n == Recording::FORMAT_FILE => format = Some(bytes),
+                n if n == Recording::CHECKPOINTS_FILE => checkpoints = Some(bytes),
+                n if n == Recording::ORDER_FILE => order = Some(bytes),
                 other => {
                     return Err(QrError::Corrupt {
                         what: "recording file set".into(),
@@ -821,35 +855,28 @@ pub struct FileCheck {
 }
 
 impl FileCheck {
-    /// Reads `name` in `dir` and runs the strict decoder over it.
-    fn run(
-        dir: &std::path::Path,
-        name: &str,
-        decode: impl FnOnce(&[u8]) -> Result<()>,
-    ) -> FileCheck {
-        let mut check = FileCheck {
+    fn named(name: &str) -> FileCheck {
+        FileCheck {
             name: name.to_string(),
             bytes: None,
             version: None,
             records: 0,
             legacy: false,
             error: None,
-        };
-        let buf = match read_file(dir, name) {
-            Ok(buf) => buf,
-            Err(e) => {
-                check.error = Some(e);
-                return check;
-            }
-        };
+        }
+    }
+
+    /// Runs the strict decoder for recording file `name` over `buf`.
+    fn run(name: &str, buf: &[u8]) -> FileCheck {
+        let mut check = FileCheck::named(name);
         check.bytes = Some(buf.len() as u64);
-        if frame::is_framed(&buf) {
+        if frame::is_framed(buf) {
             check.version = buf.get(4).copied();
-            check.records = frame::scan(&buf).records.len();
+            check.records = frame::scan(buf).records.len();
         } else {
             check.legacy = true;
         }
-        check.error = decode(&buf).err();
+        check.error = strict_decode(name, buf).err();
         check
     }
 

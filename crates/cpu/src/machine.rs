@@ -7,7 +7,7 @@ use qr_common::{CoreId, QrError, Result, VirtAddr};
 use qr_isa::instr::{AluOp, Instr};
 use qr_isa::program::{Program, DATA_BASE, INSTR_BYTES};
 use qr_isa::Reg;
-use qr_mem::{Access, MemConfig, MemorySystem};
+use qr_mem::{Access, MemConfig, MemorySystem, PagedMemory};
 
 /// Machine-level configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,11 +173,23 @@ impl Machine {
     /// restore with [`Machine::restore_state`] into a machine built from
     /// the same program and configuration.
     pub fn save_state(&self, out: &mut Vec<u8>) {
+        self.save_cores(out);
+        self.mem.save_state(out);
+    }
+
+    /// [`Machine::save_state`] with memory contents written as a delta
+    /// against `base`, the memory of an earlier snapshot of this
+    /// machine. Restore with [`Machine::restore_state_delta`].
+    pub fn save_state_delta(&self, base: &PagedMemory, out: &mut Vec<u8>) {
+        self.save_cores(out);
+        self.mem.save_state_delta(base, out);
+    }
+
+    fn save_cores(&self, out: &mut Vec<u8>) {
         qr_common::varint::write_u64(out, self.cores.len() as u64);
         for core in &self.cores {
             core.save_state(out);
         }
-        self.mem.save_state(out);
     }
 
     /// Overwrites this machine's state from bytes produced by
@@ -189,6 +201,22 @@ impl Machine {
     /// a core-count mismatch with this machine's configuration; `self`
     /// may be partially overwritten on error and must be discarded.
     pub fn restore_state(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        self.restore_cores(r)?;
+        self.mem.restore_state(r)
+    }
+
+    /// Inverse of [`Machine::save_state_delta`]: `self` must hold the
+    /// snapshot the delta was taken against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::restore_state`].
+    pub fn restore_state_delta(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        self.restore_cores(r)?;
+        self.mem.restore_state_delta(r)
+    }
+
+    fn restore_cores(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
         let cores = r.count(256)?;
         if cores != self.cores.len() {
             return Err(QrError::Corrupt {
@@ -200,7 +228,7 @@ impl Machine {
         for core in &mut self.cores {
             *core = Core::load_state(r)?;
         }
-        self.mem.restore_state(r)
+        Ok(())
     }
 
     /// Steps one instruction on `core`.

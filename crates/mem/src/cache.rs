@@ -205,20 +205,23 @@ impl Cache {
         }
     }
 
-    /// Inverse of [`Cache::save_state`] for a cache of the given
-    /// geometry (taken from the machine configuration, not the bytes).
+    /// Inverse of [`Cache::save_state`]: overwrites this cache's
+    /// contents, keeping its geometry (taken from the machine
+    /// configuration, not the bytes) and its set allocations, so a
+    /// checkpoint restore does not reallocate every set.
     ///
     /// # Errors
     ///
-    /// Returns [`QrError::Corrupt`] on truncated or implausible bytes.
-    pub(crate) fn load_state(
+    /// Returns [`QrError::Corrupt`] on truncated or implausible bytes;
+    /// `self` may be partially overwritten on error and must be discarded.
+    pub(crate) fn restore_state(
+        &mut self,
         r: &mut qr_common::cursor::ByteReader<'_>,
-        num_sets: u32,
-        ways: u32,
-    ) -> qr_common::Result<Cache> {
-        let mut cache = Cache::new(num_sets, ways);
-        cache.use_counter = r.varint()?;
-        for set in &mut cache.sets {
+    ) -> qr_common::Result<()> {
+        self.use_counter = r.varint()?;
+        let ways = self.ways;
+        for set in &mut self.sets {
+            set.clear();
             let len = r.count(ways as u64)?;
             for _ in 0..len {
                 let line = LineAddr(r.u32()?);
@@ -238,7 +241,7 @@ impl Cache {
                 set.push(Way { line, state, lru });
             }
         }
-        Ok(cache)
+        Ok(())
     }
 
     /// Number of lines currently resident.

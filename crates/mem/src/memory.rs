@@ -10,6 +10,13 @@ use std::collections::BTreeMap;
 /// Size of one backing page (simulator granularity, not the guest ABI).
 pub const PAGE_BYTES: u32 = 64 * 1024;
 
+/// Granularity of a memory delta ([`PagedMemory::save_delta`]). Between
+/// two checkpoints a workload dirties most of its pages but only a few
+/// runs of each, so whole-page deltas would save almost nothing.
+pub const DELTA_RUN_BYTES: usize = 256;
+
+const RUNS_PER_PAGE: usize = PAGE_BYTES as usize / DELTA_RUN_BYTES;
+
 /// Sparse flat memory with explicit region mapping.
 #[derive(Debug, Clone, Default)]
 pub struct PagedMemory {
@@ -146,11 +153,7 @@ impl PagedMemory {
     /// Page order is the `BTreeMap` key order, so the bytes are a
     /// deterministic function of the architectural state.
     pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        qr_common::varint::write_u64(out, self.regions.len() as u64);
-        for &(s, e) in &self.regions {
-            out.extend_from_slice(&s.to_le_bytes());
-            out.extend_from_slice(&e.to_le_bytes());
-        }
+        self.save_regions(out);
         qr_common::varint::write_u64(out, self.pages.len() as u64);
         for (&num, page) in &self.pages {
             out.extend_from_slice(&num.to_le_bytes());
@@ -164,13 +167,7 @@ impl PagedMemory {
     ///
     /// Returns [`QrError::Corrupt`] on truncated or implausible bytes.
     pub(crate) fn load_state(r: &mut qr_common::cursor::ByteReader<'_>) -> Result<PagedMemory> {
-        let mut mem = PagedMemory::new();
-        let regions = r.count(1 << 20)?;
-        for _ in 0..regions {
-            let s = r.u32()?;
-            let e = r.u32()?;
-            mem.regions.push((s, e));
-        }
+        let mut mem = PagedMemory { regions: Self::load_regions(r)?, ..PagedMemory::default() };
         let pages = r.count(1 << 20)?;
         for _ in 0..pages {
             let num = r.u32()?;
@@ -178,6 +175,118 @@ impl PagedMemory {
             mem.pages.insert(num, bytes.to_vec().into_boxed_slice());
         }
         Ok(mem)
+    }
+
+    /// Serializes this memory as a delta against `base`, an earlier
+    /// state of the same address space: regions in full, then every
+    /// allocated page with only the [`DELTA_RUN_BYTES`]-aligned runs
+    /// that differ from `base` (a page `base` lacks is diffed against
+    /// zeros). Apply with [`PagedMemory::apply_delta`] onto `base`.
+    pub fn save_delta(&self, base: &PagedMemory, out: &mut Vec<u8>) {
+        const ZERO: [u8; DELTA_RUN_BYTES] = [0; DELTA_RUN_BYTES];
+        self.save_regions(out);
+        qr_common::varint::write_u64(out, self.pages.len() as u64);
+        let mut runs = Vec::new();
+        for (&num, page) in &self.pages {
+            out.extend_from_slice(&num.to_le_bytes());
+            let old = base.pages.get(&num);
+            let changed = |run: usize| {
+                let span = run * DELTA_RUN_BYTES..(run + 1) * DELTA_RUN_BYTES;
+                let before = old.map_or(&ZERO[..], |o| &o[span.clone()]);
+                page[span] != *before
+            };
+            // Maximal stretches of changed runs, as (first run, count).
+            runs.clear();
+            for run in (0..RUNS_PER_PAGE).filter(|&run| changed(run)) {
+                match runs.last_mut() {
+                    Some((first, count)) if *first + *count == run => *count += 1,
+                    _ => runs.push((run, 1)),
+                }
+            }
+            qr_common::varint::write_u64(out, runs.len() as u64);
+            for &(first, count) in &runs {
+                qr_common::varint::write_u64(out, first as u64);
+                qr_common::varint::write_u64(out, count as u64);
+                let span = first * DELTA_RUN_BYTES..(first + count) * DELTA_RUN_BYTES;
+                out.extend_from_slice(&page[span]);
+            }
+        }
+    }
+
+    /// Inverse of [`PagedMemory::save_delta`]: patches `self` (the delta's
+    /// base state) in place. Pages the delta does not list are dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] on truncated bytes, page numbers out
+    /// of order or outside the delta's regions, or runs that overlap or
+    /// leave the page; `self` may be
+    /// partially patched on error and must be discarded.
+    pub fn apply_delta(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        let corrupt = |offset: usize, detail: String| QrError::Corrupt {
+            what: "memory delta".into(),
+            offset: offset as u64,
+            detail,
+        };
+        self.regions = Self::load_regions(r)?;
+        let count = r.count(1 << 20)?;
+        let mut pages = BTreeMap::new();
+        for _ in 0..count {
+            let num = r.u32()?;
+            if pages.last_key_value().is_some_and(|(&prev, _)| num <= prev) {
+                return Err(corrupt(r.pos(), format!("page {num:#x} out of order")));
+            }
+            // Pages are only ever allocated by writes to mapped memory, so
+            // a page outside every region is corrupt. Checking before the
+            // allocation keeps five bytes of input from zero-filling a page.
+            if !self.maps_page(num) {
+                return Err(corrupt(r.pos(), format!("page {num:#x} lies outside every region")));
+            }
+            let mut page = self
+                .pages
+                .remove(&num)
+                .unwrap_or_else(|| vec![0u8; PAGE_BYTES as usize].into_boxed_slice());
+            let runs = r.count(RUNS_PER_PAGE as u64)?;
+            let mut next = 0u64;
+            for _ in 0..runs {
+                let first = r.varint()?;
+                let count = r.varint()?;
+                let end = first
+                    .checked_add(count)
+                    .filter(|&end| first >= next && count > 0 && end <= RUNS_PER_PAGE as u64)
+                    .ok_or_else(|| {
+                        let detail = format!("runs {first}+{count} of page {num:#x}");
+                        corrupt(r.pos(), format!("{detail} overlap or leave the page"))
+                    })?;
+                let span = first as usize * DELTA_RUN_BYTES..end as usize * DELTA_RUN_BYTES;
+                page[span.clone()].copy_from_slice(r.bytes(span.len())?);
+                next = end;
+            }
+            pages.insert(num, page);
+        }
+        self.pages = pages;
+        Ok(())
+    }
+
+    /// Whether any mapped region overlaps page `num` (never true for a
+    /// page number beyond the 32-bit address space).
+    fn maps_page(&self, num: u32) -> bool {
+        let start = u64::from(num) * u64::from(PAGE_BYTES);
+        let end = start + u64::from(PAGE_BYTES);
+        self.regions.iter().any(|&(s, e)| u64::from(s) < end && start < u64::from(e))
+    }
+
+    fn save_regions(&self, out: &mut Vec<u8>) {
+        qr_common::varint::write_u64(out, self.regions.len() as u64);
+        for &(s, e) in &self.regions {
+            out.extend_from_slice(&s.to_le_bytes());
+            out.extend_from_slice(&e.to_le_bytes());
+        }
+    }
+
+    fn load_regions(r: &mut qr_common::cursor::ByteReader<'_>) -> Result<Vec<(u32, u32)>> {
+        let count = r.count(1 << 20)?;
+        (0..count).map(|_| Ok((r.u32()?, r.u32()?))).collect()
     }
 
     /// Hashes the contents of all mapped regions into a fingerprint field.
@@ -271,6 +380,87 @@ mod tests {
         let mut m = PagedMemory::new();
         assert!(m.map_region(VirtAddr(0xffff_fff0), 0x20).is_err());
         assert!(!m.is_mapped(VirtAddr(0xffff_fff0), 0x20));
+    }
+
+    fn state_bytes(m: &PagedMemory) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.save_state(&mut out);
+        out
+    }
+
+    #[test]
+    fn delta_rebuilds_the_exact_state_from_its_base() {
+        let mut base = PagedMemory::new();
+        base.map_region(VirtAddr(0), 3 * PAGE_BYTES).unwrap();
+        base.write_uint(VirtAddr(0x10), 4, 1).unwrap();
+        base.write_uint(VirtAddr(PAGE_BYTES + 0x300), 4, 2).unwrap();
+        base.write_uint(VirtAddr(2 * PAGE_BYTES), 4, 3).unwrap();
+        let mut next = base.clone();
+        next.map_region(VirtAddr(5 * PAGE_BYTES), 0x100).unwrap();
+        // A run boundary straddle, a new page, a zeroed word.
+        next.write_uint(VirtAddr(0xfe), 4, 0xaabb_ccdd).unwrap();
+        next.write_uint(VirtAddr(PAGE_BYTES + 0x300), 4, 0).unwrap();
+        next.write_uint(VirtAddr(5 * PAGE_BYTES), 1, 9).unwrap();
+        // A page the later state no longer holds.
+        next.pages.remove(&2);
+
+        let mut delta = Vec::new();
+        next.save_delta(&base, &mut delta);
+        assert!(delta.len() < 8 * DELTA_RUN_BYTES, "only changed runs: {} bytes", delta.len());
+        let mut patched = base.clone();
+        let mut r = qr_common::cursor::ByteReader::new(&delta, "delta");
+        patched.apply_delta(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(state_bytes(&patched), state_bytes(&next));
+    }
+
+    #[test]
+    fn malformed_deltas_are_structured_errors() {
+        let mut m = mapped();
+        m.write_uint(VirtAddr(0x1000), 4, 5).unwrap();
+        let encode_pages = |pages: &[u32], runs: &[(u64, u64)]| {
+            let mut out = Vec::new();
+            m.save_regions(&mut out);
+            qr_common::varint::write_u64(&mut out, pages.len() as u64);
+            for &page in pages {
+                out.extend_from_slice(&page.to_le_bytes());
+                qr_common::varint::write_u64(&mut out, runs.len() as u64);
+                for &(first, count) in runs {
+                    qr_common::varint::write_u64(&mut out, first);
+                    qr_common::varint::write_u64(&mut out, count);
+                    let len = count.min(4) as usize * DELTA_RUN_BYTES;
+                    out.extend(std::iter::repeat_n(0u8, len));
+                }
+            }
+            out
+        };
+        let encode = |page: u32, runs: &[(u64, u64)]| encode_pages(&[page], runs);
+        let unmapped = m.regions.last().unwrap().1.div_ceil(PAGE_BYTES);
+        let cases = [
+            // Pages no region reaches, inside and beyond the 32-bit
+            // address space: refused before anything is allocated.
+            encode(unmapped, &[]),
+            encode(u32::MAX / PAGE_BYTES, &[]),
+            encode(u32::MAX / PAGE_BYTES + 1, &[]),
+            encode(u32::MAX, &[]),
+            encode_pages(&[0, unmapped], &[]),
+            encode(0, &[(RUNS_PER_PAGE as u64, 1)]),
+            encode(0, &[(RUNS_PER_PAGE as u64 - 1, 2)]),
+            encode(0, &[(u64::MAX, 2)]),
+            encode(0, &[(0, 0)]),
+            encode(0, &[(4, 1), (2, 1)]),
+        ];
+        for (i, bytes) in cases.iter().enumerate() {
+            let mut target = m.clone();
+            let mut r = qr_common::cursor::ByteReader::new(bytes, "delta");
+            let err = target.apply_delta(&mut r).unwrap_err();
+            assert!(matches!(err, QrError::Corrupt { .. }), "case {i}: {err:?}");
+        }
+        let good = encode(0, &[(1, 1)]);
+        for cut in [0, 1, good.len() / 2, good.len() - 1] {
+            let mut r = qr_common::cursor::ByteReader::new(&good[..cut], "delta");
+            assert!(m.clone().apply_delta(&mut r).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

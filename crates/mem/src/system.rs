@@ -424,6 +424,21 @@ impl MemorySystem {
     /// — including miss/eviction behavior and bus timestamps.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         self.mem.save_state(out);
+        self.save_hierarchy(out);
+    }
+
+    /// [`MemorySystem::save_state`] with memory contents written as a
+    /// delta against `base`, the memory of an earlier snapshot (see
+    /// [`PagedMemory::save_delta`]); everything else is written in full.
+    /// Restore with [`MemorySystem::restore_state_delta`] onto a system
+    /// that holds that earlier snapshot.
+    pub fn save_state_delta(&self, base: &PagedMemory, out: &mut Vec<u8>) {
+        self.mem.save_delta(base, out);
+        self.save_hierarchy(out);
+    }
+
+    /// Everything but memory contents: caches, buffers, clock, counters.
+    fn save_hierarchy(&self, out: &mut Vec<u8>) {
         for cache in &self.caches {
             cache.save_state(out);
         }
@@ -467,8 +482,23 @@ impl MemorySystem {
     /// `self` may be partially overwritten on error and must be discarded.
     pub fn restore_state(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
         self.mem = PagedMemory::load_state(r)?;
+        self.restore_hierarchy(r)
+    }
+
+    /// Inverse of [`MemorySystem::save_state_delta`]: `self` must hold
+    /// the snapshot the delta was taken against.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemorySystem::restore_state`].
+    pub fn restore_state_delta(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
+        self.mem.apply_delta(r)?;
+        self.restore_hierarchy(r)
+    }
+
+    fn restore_hierarchy(&mut self, r: &mut qr_common::cursor::ByteReader<'_>) -> Result<()> {
         for cache in &mut self.caches {
-            *cache = Cache::load_state(r, self.cfg.l1_sets, self.cfg.l1_ways)?;
+            cache.restore_state(r)?;
         }
         for buffer in &mut self.buffers {
             *buffer = StoreBuffer::load_state(r, self.cfg.store_buffer_entries)?;

@@ -47,5 +47,5 @@ pub use replayer::{replay, replay_and_verify, replay_with_race_detection, Replay
 pub use salvage::{salvage_replay, salvage_replay_dir, SalvageReport};
 pub use timetravel::{
     timeline_descriptors, CheckpointIndex, CheckpointKey, EventDescriptor, EventKind, QueryEngine,
-    QueryPlan, QueryResult, ReplayQuery, CHECKPOINT_INDEX_VERSION,
+    QueryPlan, QueryResult, ReplayQuery, CHECKPOINT_INDEX_VERSION, KEYFRAME_PERIOD,
 };

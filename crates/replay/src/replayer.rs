@@ -7,7 +7,7 @@ use qr_common::{CoreId, Cycle, QrError, Result, ThreadId, VirtAddr};
 use qr_cpu::{CpuConfig, CpuContext, Machine, NondetKind, StepOutcome};
 use qr_isa::program::STACK_TOP;
 use qr_isa::{abi, Program, Reg};
-use qr_mem::{MemEvent, TsoMode};
+use qr_mem::{MemEvent, PagedMemory, TsoMode};
 use qr_os::kernel::EFAULT;
 use qr_os::SyscallRecord;
 use quickrec_core::{ChunkPacket, TerminationReason};
@@ -127,60 +127,19 @@ impl ReplayCheckpoint {
     /// console, counters) so it can be persisted in a `checkpoints.qrc`
     /// sidecar. The bytes are a deterministic function of the state.
     pub fn to_bytes(&self) -> Vec<u8> {
-        use qr_common::varint::write_u64;
-        let mut out = Vec::new();
-        let mut machine = Vec::new();
-        self.machine.save_state(&mut machine);
-        write_u64(&mut out, machine.len() as u64);
-        out.extend_from_slice(&machine);
-        write_u64(&mut out, self.threads.len() as u64);
-        for t in &self.threads {
-            out.push(t.created as u8);
-            match t.exit_code {
-                Some(code) => {
-                    out.push(1);
-                    out.extend_from_slice(&code.to_le_bytes());
-                }
-                None => out.push(0),
-            }
-            match t.handler {
-                Some(addr) => {
-                    out.push(1);
-                    out.extend_from_slice(&addr.0.to_le_bytes());
-                }
-                None => out.push(0),
-            }
-            match &t.signal_saved {
-                Some(ctx) => {
-                    out.push(1);
-                    ctx.save_state(&mut out);
-                }
-                None => out.push(0),
-            }
-            write_u64(&mut out, t.nondet.len() as u64);
-            for &(kind, value) in &t.nondet {
-                out.push(match kind {
-                    NondetKind::Rdtsc => 0,
-                    NondetKind::Rdrand => 1,
-                });
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            match t.last_reason {
-                Some(reason) => {
-                    out.push(1);
-                    out.push(reason.code());
-                }
-                None => out.push(0),
-            }
+        SnapshotView {
+            machine: &self.machine,
+            threads: &self.threads,
+            console: &self.console,
+            counters: [
+                self.instructions,
+                self.chunks_replayed as u64,
+                self.inputs_injected as u64,
+                self.timeline_pos as u64,
+            ],
+            program_fingerprint: self.program_fingerprint,
         }
-        write_u64(&mut out, self.console.len() as u64);
-        out.extend_from_slice(&self.console);
-        write_u64(&mut out, self.instructions);
-        write_u64(&mut out, self.chunks_replayed as u64);
-        write_u64(&mut out, self.inputs_injected as u64);
-        write_u64(&mut out, self.timeline_pos as u64);
-        out.extend_from_slice(&self.program_fingerprint.to_le_bytes());
-        out
+        .encode(None)
     }
 
     /// Inverse of [`ReplayCheckpoint::to_bytes`]: rebuilds a snapshot
@@ -193,12 +152,33 @@ impl ReplayCheckpoint {
     ///
     /// Returns [`QrError::Corrupt`] on malformed bytes.
     pub fn from_bytes(program: &Program, recording: &Recording, buf: &[u8]) -> Result<ReplayCheckpoint> {
+        let machine = Machine::new(program.clone(), replay_cpu_config(recording)?)?;
+        Self::decode(machine, buf, false)
+    }
+
+    /// Advances this snapshot to the next one by applying `buf`, a
+    /// delta written by [`Replayer::snapshot_bytes`] against this
+    /// snapshot's memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] on malformed bytes.
+    pub(crate) fn apply_delta(self, buf: &[u8]) -> Result<ReplayCheckpoint> {
+        Self::decode(self.machine, buf, true)
+    }
+
+    /// Reads a snapshot (or, with `delta`, a delta against the state
+    /// `machine` already holds) into `machine`.
+    fn decode(mut machine: Machine, buf: &[u8], delta: bool) -> Result<ReplayCheckpoint> {
         let mut r = qr_common::cursor::ByteReader::new(buf, "checkpoint snapshot");
         let machine_len = r.count(buf.len() as u64)?;
         let machine_bytes = r.bytes(machine_len)?;
-        let mut machine = Machine::new(program.clone(), replay_cpu_config(recording)?)?;
         let mut mr = qr_common::cursor::ByteReader::new(machine_bytes, "checkpoint machine state");
-        machine.restore_state(&mut mr)?;
+        if delta {
+            machine.restore_state_delta(&mut mr)?;
+        } else {
+            machine.restore_state(&mut mr)?;
+        }
         mr.finish()?;
         let num_threads = r.count(250)?;
         let mut threads = Vec::with_capacity(num_threads);
@@ -270,6 +250,81 @@ impl ReplayCheckpoint {
             timeline_pos,
             program_fingerprint,
         })
+    }
+}
+
+/// Borrowed view of the state a snapshot serializes, shared by
+/// [`ReplayCheckpoint::to_bytes`] and [`Replayer::snapshot_bytes`] so an
+/// index build can encode a live replay without cloning its machine.
+struct SnapshotView<'s> {
+    machine: &'s Machine,
+    threads: &'s [ReplayThread],
+    console: &'s [u8],
+    /// Instructions, chunks replayed, inputs injected, timeline position.
+    counters: [u64; 4],
+    program_fingerprint: u64,
+}
+
+impl SnapshotView<'_> {
+    /// The snapshot layout; with `base`, memory contents are a delta
+    /// against it ([`Machine::save_state_delta`]).
+    fn encode(&self, base: Option<&PagedMemory>) -> Vec<u8> {
+        use qr_common::varint::write_u64;
+        let mut out = Vec::new();
+        let mut machine = Vec::new();
+        match base {
+            Some(base) => self.machine.save_state_delta(base, &mut machine),
+            None => self.machine.save_state(&mut machine),
+        }
+        write_u64(&mut out, machine.len() as u64);
+        out.extend_from_slice(&machine);
+        write_u64(&mut out, self.threads.len() as u64);
+        for t in self.threads {
+            out.push(t.created as u8);
+            match t.exit_code {
+                Some(code) => {
+                    out.push(1);
+                    out.extend_from_slice(&code.to_le_bytes());
+                }
+                None => out.push(0),
+            }
+            match t.handler {
+                Some(addr) => {
+                    out.push(1);
+                    out.extend_from_slice(&addr.0.to_le_bytes());
+                }
+                None => out.push(0),
+            }
+            match &t.signal_saved {
+                Some(ctx) => {
+                    out.push(1);
+                    ctx.save_state(&mut out);
+                }
+                None => out.push(0),
+            }
+            write_u64(&mut out, t.nondet.len() as u64);
+            for &(kind, value) in &t.nondet {
+                out.push(match kind {
+                    NondetKind::Rdtsc => 0,
+                    NondetKind::Rdrand => 1,
+                });
+                out.extend_from_slice(&value.to_le_bytes());
+            }
+            match t.last_reason {
+                Some(reason) => {
+                    out.push(1);
+                    out.push(reason.code());
+                }
+                None => out.push(0),
+            }
+        }
+        write_u64(&mut out, self.console.len() as u64);
+        out.extend_from_slice(self.console);
+        for counter in self.counters {
+            write_u64(&mut out, counter);
+        }
+        out.extend_from_slice(&self.program_fingerprint.to_le_bytes());
+        out
     }
 }
 
@@ -590,9 +645,27 @@ impl<'a> Replayer<'a> {
     /// is attached (its analysis state is not checkpointable), plus the
     /// usual replay errors.
     pub fn run_with_checkpoints(
-        mut self,
+        self,
         every_events: usize,
     ) -> Result<(ReplayOutcome, Vec<ReplayCheckpoint>)> {
+        let mut checkpoints = Vec::new();
+        let outcome = self.run_checkpointed(every_events, |rp| checkpoints.push(rp.checkpoint()))?;
+        Ok((outcome, checkpoints))
+    }
+
+    /// Runs to completion, handing the live replay to `at_checkpoint`
+    /// every `every_events` timeline events — the streaming form of
+    /// [`Replayer::run_with_checkpoints`], which lets a caller encode
+    /// each checkpoint without keeping (or cloning) its machine.
+    ///
+    /// # Errors
+    ///
+    /// As [`Replayer::run_with_checkpoints`].
+    pub(crate) fn run_checkpointed(
+        mut self,
+        every_events: usize,
+        mut at_checkpoint: impl FnMut(&Replayer<'a>),
+    ) -> Result<ReplayOutcome> {
         if self.detector.is_some() {
             return Err(QrError::Unsupported(
                 "checkpointing cannot be combined with race detection".into(),
@@ -601,17 +674,41 @@ impl<'a> Replayer<'a> {
         if every_events == 0 {
             return Err(QrError::InvalidConfig("checkpoint interval must be nonzero".into()));
         }
-        let mut checkpoints = Vec::new();
         while self.timeline_pos < self.timeline.len() {
             if self.timeline_pos > 0 && self.timeline_pos.is_multiple_of(every_events) {
-                checkpoints.push(self.checkpoint());
+                at_checkpoint(&self);
             }
             if !self.step_timeline()? {
                 break;
             }
         }
         let (outcome, _) = self.finish()?;
-        Ok((outcome, checkpoints))
+        Ok(outcome)
+    }
+
+    /// Serializes the current replay state exactly as
+    /// [`ReplayCheckpoint::to_bytes`] would serialize a checkpoint taken
+    /// here; with `base`, memory contents are a delta against it (apply
+    /// with [`ReplayCheckpoint::apply_delta`]).
+    pub(crate) fn snapshot_bytes(&self, base: Option<&PagedMemory>) -> Vec<u8> {
+        SnapshotView {
+            machine: &self.machine,
+            threads: &self.threads,
+            console: &self.console,
+            counters: [
+                self.instructions,
+                self.chunks_replayed as u64,
+                self.inputs_injected as u64,
+                self.timeline_pos as u64,
+            ],
+            program_fingerprint: self.recording.meta.program_fingerprint,
+        }
+        .encode(base)
+    }
+
+    /// Replayed guest memory at the current position.
+    pub(crate) fn memory(&self) -> &PagedMemory {
+        self.machine.mem().memory()
     }
 
     /// Snapshots the current replay state.

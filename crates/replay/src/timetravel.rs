@@ -8,8 +8,11 @@
 //! - [`CheckpointIndex`] serializes the periodic [`ReplayCheckpoint`]s a
 //!   replay produces into one framed `checkpoints.qrc` sidecar, with a
 //!   binary-searchable key table (timeline position, chunk / input /
-//!   instruction counters, per-thread instruction counts).
-//! - [`QueryEngine::seek`] restores the nearest preceding checkpoint and
+//!   instruction counters, per-thread instruction counts). Every
+//!   [`KEYFRAME_PERIOD`]-th checkpoint is a full snapshot; the rest store
+//!   only the 256-byte memory runs that changed since the previous one.
+//! - [`QueryEngine::seek`] restores the nearest preceding checkpoint
+//!   (its keyframe plus at most `KEYFRAME_PERIOD - 1` deltas) and
 //!   re-executes forward, so reaching timeline position `p` costs
 //!   O(log n) lookup plus at most one checkpoint interval of replay.
 //! - [`ReplayQuery`] describes a slice of the execution (chunk range,
@@ -30,9 +33,25 @@ use qr_common::frame::{self, PayloadKind};
 use qr_common::varint::write_u64;
 use qr_common::{Cycle, QrError, Result, ThreadId};
 use qr_isa::Program;
+use qr_mem::PagedMemory;
 
-/// Newest `checkpoints.qrc` index layout this replayer understands.
-pub const CHECKPOINT_INDEX_VERSION: u64 = 1;
+/// Newest `checkpoints.qrc` index layout this replayer understands, and
+/// the only one it writes. Version 1 stored every checkpoint as a full
+/// snapshot; version 2 tags each key with its record kind, so most
+/// records can be deltas. A version-1 index reads as the all-keyframe
+/// case of version 2.
+pub const CHECKPOINT_INDEX_VERSION: u64 = 2;
+
+/// The first checkpoint of an index and every `KEYFRAME_PERIOD`-th after
+/// it are stored as full snapshots (keyframes); the others are deltas
+/// against their predecessor. A seek therefore decodes one keyframe and
+/// applies at most `KEYFRAME_PERIOD - 1` deltas before it re-executes.
+pub const KEYFRAME_PERIOD: usize = 16;
+
+/// Record-kind byte of a v2 key: a full snapshot.
+const RECORD_KEYFRAME: u8 = 0;
+/// Record-kind byte of a v2 key: a delta against the previous checkpoint.
+const RECORD_DELTA: u8 = 1;
 
 /// What kind of timeline event a descriptor describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +166,9 @@ pub struct CheckpointKey {
     pub inputs_injected: u64,
     /// Cumulative instructions retired per thread (index = tid).
     pub thread_icounts: Vec<u64>,
+    /// Whether the checkpoint's record is a full snapshot (a keyframe)
+    /// rather than a delta against the previous checkpoint's state.
+    pub keyframe: bool,
 }
 
 /// A persisted, binary-searchable set of replay checkpoints — the
@@ -154,8 +176,11 @@ pub struct CheckpointKey {
 ///
 /// Record 0 of the framed container is the seek index (version, binding
 /// fingerprints, interval, one [`CheckpointKey`] per checkpoint); each
-/// following record is one serialized [`ReplayCheckpoint`]. Snapshots
-/// stay as raw bytes until a seek actually needs one.
+/// following record is one checkpoint. A keyframe record is a whole
+/// [`ReplayCheckpoint::to_bytes`] snapshot; a delta record has the same
+/// layout but holds only the memory runs that changed since the previous
+/// checkpoint. The first checkpoint and every [`KEYFRAME_PERIOD`]-th after
+/// it are keyframes. Records stay as raw bytes until a seek needs one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointIndex {
     /// Checkpoint interval, in timeline events.
@@ -168,13 +193,15 @@ pub struct CheckpointIndex {
     pub recording_fingerprint: u64,
     /// Seek keys, strictly increasing by position.
     pub keys: Vec<CheckpointKey>,
-    /// Serialized [`ReplayCheckpoint`]s, parallel to `keys`.
-    pub snapshots: Vec<Vec<u8>>,
+    /// Every checkpoint record, back to back, parallel to `keys`.
+    records: Vec<u8>,
+    /// `ends[i]` is one past the last byte of record `i` in `records`.
+    ends: Vec<usize>,
 }
 
 impl CheckpointIndex {
     /// Replays `recording` once, checkpointing every `every_events`
-    /// timeline events, and packages the checkpoints into an index.
+    /// timeline events, and encodes each checkpoint as it is taken.
     ///
     /// # Errors
     ///
@@ -187,42 +214,62 @@ impl CheckpointIndex {
     ) -> Result<CheckpointIndex> {
         let descriptors = timeline_descriptors(recording)?;
         let num_threads = replay_cpu_config(recording)?.num_cores;
-        let replayer = Replayer::new(program, recording)?;
-        let (_, checkpoints) = replayer.run_with_checkpoints(every_events)?;
-        let mut keys = Vec::with_capacity(checkpoints.len());
-        let mut snapshots = Vec::with_capacity(checkpoints.len());
+        let mut index = CheckpointIndex {
+            interval: every_events as u64,
+            timeline_len: descriptors.len() as u64,
+            program_fingerprint: recording.meta.program_fingerprint,
+            recording_fingerprint: recording.fingerprint,
+            keys: Vec::new(),
+            records: Vec::new(),
+            ends: Vec::new(),
+        };
         let mut thread_icounts = vec![0u64; num_threads];
         let mut scanned = 0usize;
-        for cp in &checkpoints {
-            // Keys are sorted by position, so one forward scan over the
-            // descriptors prices out all the per-thread counters.
-            while scanned < cp.position() {
+        // Memory of the previous checkpoint, while the next is a delta.
+        let mut base: Option<PagedMemory> = None;
+        Replayer::new(program, recording)?.run_checkpointed(every_events, |rp| {
+            // Checkpoints arrive in position order, so one forward scan
+            // over the descriptors prices out all the per-thread counters.
+            while scanned < rp.position() {
                 let d = &descriptors[scanned];
                 if d.kind == EventKind::Chunk {
                     thread_icounts[d.tid.index()] += d.icount;
                 }
                 scanned += 1;
             }
-            keys.push(CheckpointKey {
-                position: cp.position() as u64,
-                instructions: cp.instructions(),
-                chunks_replayed: cp.chunks_replayed() as u64,
-                inputs_injected: cp.inputs_injected() as u64,
-                thread_icounts: thread_icounts.clone(),
-            });
-            snapshots.push(cp.to_bytes());
-        }
-        Ok(CheckpointIndex {
-            interval: every_events as u64,
-            timeline_len: descriptors.len() as u64,
-            program_fingerprint: recording.meta.program_fingerprint,
-            recording_fingerprint: recording.fingerprint,
-            keys,
-            snapshots,
-        })
+            let keyframe = base.is_none();
+            let record = rp.snapshot_bytes(base.as_ref());
+            index.push(
+                CheckpointKey {
+                    position: rp.position() as u64,
+                    instructions: rp.instructions_so_far(),
+                    chunks_replayed: rp.chunks_replayed_so_far() as u64,
+                    inputs_injected: rp.inputs_injected_so_far() as u64,
+                    thread_icounts: thread_icounts.clone(),
+                    keyframe,
+                },
+                &record,
+            );
+            let next_is_delta = !index.keys.len().is_multiple_of(KEYFRAME_PERIOD);
+            base = next_is_delta.then(|| rp.memory().clone());
+        })?;
+        Ok(index)
     }
 
-    /// Serializes the index as a framed `checkpoints.qrc` container.
+    fn push(&mut self, key: CheckpointKey, record: &[u8]) {
+        self.keys.push(key);
+        self.records.extend_from_slice(record);
+        self.ends.push(self.records.len());
+    }
+
+    /// The raw bytes of checkpoint `i`'s record.
+    fn record(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.records[start..self.ends[i]]
+    }
+
+    /// Serializes the index as a framed `checkpoints.qrc` container, in
+    /// the current ([`CHECKPOINT_INDEX_VERSION`]) layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut header = Vec::new();
         write_u64(&mut header, CHECKPOINT_INDEX_VERSION);
@@ -232,6 +279,7 @@ impl CheckpointIndex {
         write_u64(&mut header, self.timeline_len);
         write_u64(&mut header, self.keys.len() as u64);
         for key in &self.keys {
+            header.push(if key.keyframe { RECORD_KEYFRAME } else { RECORD_DELTA });
             write_u64(&mut header, key.position);
             write_u64(&mut header, key.instructions);
             write_u64(&mut header, key.chunks_replayed);
@@ -243,19 +291,21 @@ impl CheckpointIndex {
         }
         let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
         w.record(&header);
-        for snapshot in &self.snapshots {
-            w.record(snapshot);
+        for i in 0..self.ends.len() {
+            w.record(self.record(i));
         }
         w.finish()
     }
 
-    /// Inverse of [`CheckpointIndex::to_bytes`].
+    /// Inverse of [`CheckpointIndex::to_bytes`]. Also reads version-1
+    /// indexes, whose keys carry no record kind: every record is a
+    /// keyframe.
     ///
     /// # Errors
     ///
     /// Returns [`QrError::Unsupported`] for an index written by a newer
     /// format version (naming both versions), and [`QrError::Corrupt`]
-    /// for malformed bytes.
+    /// for malformed bytes, including a first record that is a delta.
     pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointIndex> {
         let corrupt = |offset: u64, detail: String| QrError::Corrupt {
             what: "checkpoint index".into(),
@@ -291,8 +341,33 @@ impl CheckpointIndex {
                 format!("index lists {num_keys} checkpoints but container has {}", records.len() - 1),
             ));
         }
-        let mut keys = Vec::with_capacity(num_keys);
-        for _ in 0..num_keys {
+        let mut index = CheckpointIndex {
+            interval,
+            timeline_len,
+            program_fingerprint,
+            recording_fingerprint,
+            keys: Vec::with_capacity(num_keys),
+            records: Vec::with_capacity(records[1..].iter().map(|rec| rec.len()).sum()),
+            ends: Vec::with_capacity(num_keys),
+        };
+        for record in &records[1..] {
+            let keyframe = match version {
+                1 => true,
+                _ => match r.u8()? {
+                    RECORD_KEYFRAME => true,
+                    RECORD_DELTA => false,
+                    kind => {
+                        let detail = format!("unknown checkpoint record kind {kind}");
+                        return Err(corrupt(r.pos() as u64, detail));
+                    }
+                },
+            };
+            if !keyframe && index.keys.is_empty() {
+                return Err(corrupt(
+                    r.pos() as u64,
+                    "first checkpoint record is a delta with no keyframe before it".into(),
+                ));
+            }
             let position = r.varint()?;
             if position >= timeline_len {
                 return Err(corrupt(
@@ -300,7 +375,7 @@ impl CheckpointIndex {
                     format!("checkpoint position {position} beyond timeline of {timeline_len}"),
                 ));
             }
-            if let Some(prev) = keys.last().map(|k: &CheckpointKey| k.position) {
+            if let Some(prev) = index.keys.last().map(|k| k.position) {
                 if position <= prev {
                     return Err(corrupt(
                         r.pos() as u64,
@@ -316,24 +391,62 @@ impl CheckpointIndex {
             for _ in 0..num_threads {
                 thread_icounts.push(r.varint()?);
             }
-            keys.push(CheckpointKey {
-                position,
-                instructions,
-                chunks_replayed,
-                inputs_injected,
-                thread_icounts,
-            });
+            index.push(
+                CheckpointKey {
+                    position,
+                    instructions,
+                    chunks_replayed,
+                    inputs_injected,
+                    thread_icounts,
+                    keyframe,
+                },
+                record,
+            );
         }
         r.finish()?;
-        let snapshots = records[1..].iter().map(|rec| rec.to_vec()).collect();
-        Ok(CheckpointIndex {
-            interval,
-            timeline_len,
-            program_fingerprint,
-            recording_fingerprint,
-            keys,
-            snapshots,
-        })
+        Ok(index)
+    }
+
+    /// Rebuilds checkpoint `i`: decodes the nearest keyframe at or before
+    /// it and applies every delta after that keyframe up to `i` (at most
+    /// [`KEYFRAME_PERIOD`]` - 1` for an index this crate wrote).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::InvalidConfig`] for an out-of-range `i`, and
+    /// [`QrError::Corrupt`] when a record fails to decode or does not sit
+    /// at its key's position.
+    pub fn restore(
+        &self,
+        program: &Program,
+        recording: &Recording,
+        i: usize,
+    ) -> Result<ReplayCheckpoint> {
+        let keys = self.keys.get(..=i).filter(|_| i < self.ends.len()).ok_or_else(|| {
+            let len = self.keys.len();
+            QrError::InvalidConfig(format!("checkpoint {i} is beyond the index ({len})"))
+        })?;
+        let first = keys.iter().rposition(|k| k.keyframe).ok_or_else(|| QrError::Corrupt {
+            what: "checkpoint index".into(),
+            offset: 0,
+            detail: format!("no keyframe at or before checkpoint {i}"),
+        })?;
+        let mut cp = ReplayCheckpoint::from_bytes(program, recording, self.record(first))?;
+        for j in first + 1..=i {
+            cp = cp.apply_delta(self.record(j))?;
+        }
+        if cp.position() as u64 != keys[i].position {
+            return Err(QrError::Corrupt {
+                what: "checkpoint index".into(),
+                offset: 0,
+                detail: format!(
+                    "record {i} holds position {} but its key says {}",
+                    cp.position(),
+                    keys[i].position
+                ),
+            });
+        }
+        Ok(cp)
     }
 
     /// Index of the latest checkpoint at or before timeline position
@@ -766,7 +879,8 @@ impl<'a> QueryEngine<'a> {
             if let Some(i) = ix.best_for(target) {
                 // A snapshot that fails to deserialize or resume is the
                 // same as no snapshot: fall back to from-scratch replay.
-                match ReplayCheckpoint::from_bytes(self.program, self.recording, &ix.snapshots[i])
+                match ix
+                    .restore(self.program, self.recording, i)
                     .and_then(|cp| Replayer::resume(self.program, self.recording, cp))
                 {
                     Ok(rp) => restored = Some(rp),
@@ -983,30 +1097,56 @@ impl<'a> QueryEngine<'a> {
 mod tests {
     use super::*;
 
+    fn sample_key(position: u64, thread_icounts: Vec<u64>, keyframe: bool) -> CheckpointKey {
+        CheckpointKey {
+            position,
+            instructions: thread_icounts.iter().sum(),
+            chunks_replayed: position / 2,
+            inputs_injected: position / 4,
+            thread_icounts,
+            keyframe,
+        }
+    }
+
     fn sample_index() -> CheckpointIndex {
-        CheckpointIndex {
+        let mut ix = CheckpointIndex {
             interval: 8,
             timeline_len: 40,
             program_fingerprint: 0x1111_2222_3333_4444,
             recording_fingerprint: 0x5555_6666_7777_8888,
-            keys: vec![
-                CheckpointKey {
-                    position: 8,
-                    instructions: 120,
-                    chunks_replayed: 6,
-                    inputs_injected: 2,
-                    thread_icounts: vec![80, 40],
-                },
-                CheckpointKey {
-                    position: 16,
-                    instructions: 260,
-                    chunks_replayed: 13,
-                    inputs_injected: 3,
-                    thread_icounts: vec![150, 110],
-                },
-            ],
-            snapshots: vec![vec![1, 2, 3], vec![4, 5, 6]],
+            keys: Vec::new(),
+            records: Vec::new(),
+            ends: Vec::new(),
+        };
+        ix.push(sample_key(8, vec![80, 40], true), &[1, 2, 3]);
+        ix.push(sample_key(16, vec![150, 110], false), &[4, 5, 6]);
+        ix
+    }
+
+    /// `ix` serialized in the version-1 layout: no record-kind bytes.
+    fn v1_bytes(ix: &CheckpointIndex) -> Vec<u8> {
+        let mut header = Vec::new();
+        write_u64(&mut header, 1);
+        header.extend_from_slice(&ix.program_fingerprint.to_le_bytes());
+        header.extend_from_slice(&ix.recording_fingerprint.to_le_bytes());
+        write_u64(&mut header, ix.interval);
+        write_u64(&mut header, ix.timeline_len);
+        write_u64(&mut header, ix.keys.len() as u64);
+        for key in &ix.keys {
+            for n in [key.position, key.instructions, key.chunks_replayed, key.inputs_injected] {
+                write_u64(&mut header, n);
+            }
+            write_u64(&mut header, key.thread_icounts.len() as u64);
+            for &n in &key.thread_icounts {
+                write_u64(&mut header, n);
+            }
         }
+        let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
+        w.record(&header);
+        for i in 0..ix.keys.len() {
+            w.record(ix.record(i));
+        }
+        w.finish()
     }
 
     #[test]
@@ -1045,10 +1185,43 @@ mod tests {
             assert!(matches!(err, QrError::Corrupt { .. }), "cut at {cut}: {err:?}");
         }
         // An index that lists more checkpoints than the container holds.
-        let mut ix = sample_index();
-        ix.snapshots.pop();
-        let err = CheckpointIndex::from_bytes(&ix.to_bytes()).unwrap_err();
+        let full = sample_index().to_bytes();
+        let records = frame::read(&full, PayloadKind::CheckpointIndex, "test").unwrap();
+        let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
+        w.record(records[0]).record(records[1]);
+        let err = CheckpointIndex::from_bytes(&w.finish()).unwrap_err();
         assert!(matches!(err, QrError::Corrupt { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn v1_index_reads_as_all_keyframes() {
+        let mut ix = sample_index();
+        ix.keys[1].keyframe = true;
+        let back = CheckpointIndex::from_bytes(&v1_bytes(&ix)).unwrap();
+        assert_eq!(back, ix);
+        let rewritten = CheckpointIndex::from_bytes(&back.to_bytes()).unwrap();
+        assert_eq!(rewritten, ix, "a v1 index re-serializes as v2 without loss");
+    }
+
+    #[test]
+    fn leading_delta_and_unknown_record_kinds_are_corrupt() {
+        let mut ix = sample_index();
+        ix.keys[0].keyframe = false;
+        match CheckpointIndex::from_bytes(&ix.to_bytes()).unwrap_err() {
+            QrError::Corrupt { detail, .. } => assert!(detail.contains("delta"), "{detail}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let bytes = sample_index().to_bytes();
+        let records = frame::read(&bytes, PayloadKind::CheckpointIndex, "test").unwrap();
+        let mut header = records[0].to_vec();
+        // version, 2 fingerprints, interval, timeline_len, key count.
+        let kind_at = 1 + 16 + 1 + 1 + 1;
+        assert_eq!(header[kind_at], RECORD_KEYFRAME);
+        header[kind_at] = 7;
+        let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
+        w.record(&header).record(records[1]).record(records[2]);
+        let err = CheckpointIndex::from_bytes(&w.finish()).unwrap_err();
+        assert!(err.to_string().contains("record kind 7"), "{err}");
     }
 
     #[test]

@@ -373,9 +373,9 @@ pub(crate) fn handle_request(
             Ok(session) => match shared.store.fetch_parts(session.store_id) {
                 Ok((manifest, parts)) => Response::Fetched {
                     files: parts
-                        .files()
+                        .into_files()
                         .into_iter()
-                        .map(|(name, bytes)| (name.to_string(), bytes.to_vec()))
+                        .map(|(name, bytes)| (name.to_string(), bytes))
                         .collect(),
                     fingerprint: manifest.fingerprint,
                 },

@@ -212,10 +212,31 @@ impl RecordingStore {
     ///
     /// Returns [`QrError::Corrupt`] naming the first damaged file.
     pub fn fetch_parts(&self, id: u64) -> Result<(Manifest, RecordingParts)> {
+        self.fetch_files(id, true)
+    }
+
+    /// Strictly fetches and decodes entry `id` as a [`Recording`]. The
+    /// checkpoint index is neither read nor inflated: decoding never
+    /// uses it, and it is the bulk of an entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QrError::Corrupt`] for any damage along the way.
+    pub fn fetch(&self, id: u64) -> Result<Recording> {
+        let (_, parts) = self.fetch_files(id, false)?;
+        Recording::from_parts(&parts)
+    }
+
+    /// [`RecordingStore::fetch_parts`], optionally leaving out
+    /// `checkpoints.qrc`.
+    fn fetch_files(&self, id: u64, with_index: bool) -> Result<(Manifest, RecordingParts)> {
         let manifest = self.manifest(id)?;
         let dir = self.entry_dir(id);
         let mut files: Vec<(String, Vec<u8>)> = Vec::new();
         for f in &manifest.files {
+            if !with_index && f.name == Recording::CHECKPOINTS_FILE {
+                continue;
+            }
             let compressed = std::fs::read(dir.join(format!("{}{COMPRESSED_SUFFIX}", f.name)))
                 .map_err(|e| io_err(&format!("reading {} of entry {id}", f.name), e))?;
             let bytes = block::decompress(&compressed).map_err(|e| QrError::Corrupt {
@@ -235,17 +256,8 @@ impl RecordingStore {
             }
             files.push((f.name.clone(), bytes));
         }
-        Ok((manifest, RecordingParts::from_files(&files)?))
-    }
-
-    /// Strictly fetches and decodes entry `id` as a [`Recording`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrError::Corrupt`] for any damage along the way.
-    pub fn fetch(&self, id: u64) -> Result<Recording> {
-        let (_, parts) = self.fetch_parts(id)?;
-        Recording::from_parts(&parts)
+        let parts = RecordingParts::from_owned_files(files)?;
+        Ok((manifest, parts))
     }
 
     /// Tolerantly fetches entry `id`: torn or flipped blocks reduce
@@ -312,12 +324,9 @@ impl RecordingStore {
             }
         };
         // Images recovered; run the same per-file strict decode the
-        // directory verifier uses, against a scratch-free in-memory path.
-        let scratch = self.entry_dir(id).join(".verify");
-        parts.save(&scratch)?;
-        let report = Recording::verify_dir(&scratch);
-        let _ = std::fs::remove_dir_all(&scratch);
-        Ok(report)
+        // directory verifier uses, in memory: a committed entry is never
+        // written to.
+        Ok(Recording::verify_parts(&parts))
     }
 }
 

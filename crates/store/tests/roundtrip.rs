@@ -147,3 +147,59 @@ fn interrupted_puts_leave_staging_dirs_that_reopening_sweeps_away() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn damaged_checkpoint_index_spares_replay_fetches_but_not_verify() {
+    let dir = scratch("index-damage");
+    let (program, recording) = recorded_workload(2);
+    let mut parts = recording.to_parts(Encoding::Delta);
+    let index = qr_replay::CheckpointIndex::build(&program, &recording, 8).expect("build index");
+    parts.attach_checkpoints(index.to_bytes()).expect("attach index");
+    let store = RecordingStore::open(&dir).expect("open store");
+    let id = store
+        .put_parts("fft", &parts, Encoding::Delta, recording.fingerprint)
+        .expect("store put");
+    let sidecar =
+        store.entry_dir(id).join(format!("{}{COMPRESSED_SUFFIX}", Recording::CHECKPOINTS_FILE));
+    let mut bytes = std::fs::read(&sidecar).expect("read compressed index");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    std::fs::write(&sidecar, &bytes).expect("damage compressed index");
+
+    // Replay jobs never inflate the index, so its damage cannot stop them.
+    let fetched = store.fetch(id).expect("fetch skips the index");
+    let outcome = qr_replay::replay_and_verify(&program, &fetched).expect("replay");
+    let pinned = store.manifest(id).expect("manifest").fingerprint;
+    assert_eq!(outcome.fingerprint, pinned);
+    // FETCH, QUERY and verify still inflate and check every file.
+    assert!(store.fetch_parts(id).is_err(), "fetch_parts must check the index");
+    let report = store.verify(id).expect("verify runs");
+    assert!(!report.all_ok(), "verify must report the damaged index");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verify_writes_nothing_and_concurrent_verifies_both_pass() {
+    let dir = scratch("verify");
+    let (_, recording) = recorded_workload(2);
+    let store = RecordingStore::open(&dir).expect("open store");
+    let id = store.put("fft", &recording, Encoding::Delta).expect("store put");
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(store.entry_dir(id))
+            .expect("read entry")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    std::thread::scope(|s| {
+        let verifies: Vec<_> = (0..2).map(|_| s.spawn(|| store.verify(id))).collect();
+        for v in verifies {
+            let report = v.join().expect("verify thread").expect("verify runs");
+            assert!(report.all_ok(), "{:?}", report.files);
+        }
+    });
+    assert_eq!(listing(), before, "verify changed the committed entry");
+    std::fs::remove_dir_all(&dir).ok();
+}

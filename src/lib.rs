@@ -67,7 +67,7 @@ pub use qr_replay::{replay, replay_and_verify, replay_ordered, replay_ordered_an
     replay_parallel, replay_parallel_and_verify,
     timeline_descriptors, CheckpointIndex, EventDescriptor, EventKind, ParallelReplayer,
     QueryEngine, QueryPlan, QueryResult, ReplayCheckpoint, ReplayOutcome, ReplayQuery, Replayer,
-    CHECKPOINT_INDEX_VERSION};
+    CHECKPOINT_INDEX_VERSION, KEYFRAME_PERIOD};
 pub use quickrec_core::{ChunkLog, ChunkPacket, Encoding, MrrConfig, OrderLog, OrderMode,
     TerminationReason};
 

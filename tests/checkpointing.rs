@@ -135,3 +135,25 @@ fn thread_registers_visible_only_while_alive() {
     while r.step_timeline().unwrap() {}
     assert!(r.thread_registers(quickrec::ThreadId(0)).is_none(), "all exited at the end");
 }
+
+#[test]
+fn index_rebuilds_every_checkpoint_byte_for_byte_from_keyframes_and_deltas() {
+    use qr_replay::{CheckpointIndex, KEYFRAME_PERIOD};
+    let (program, recording) = recorded();
+    let (_, checkpoints) = Replayer::new(&program, &recording)
+        .unwrap()
+        .run_with_checkpoints(4)
+        .unwrap();
+    assert!(checkpoints.len() > KEYFRAME_PERIOD, "want more than one keyframe group");
+    // Through persistence, as a seek would see it.
+    let built = CheckpointIndex::build(&program, &recording, 4).unwrap();
+    let index = CheckpointIndex::from_bytes(&built.to_bytes()).unwrap();
+    assert_eq!(index.keys.len(), checkpoints.len());
+    for (i, cp) in checkpoints.iter().enumerate() {
+        assert_eq!(index.keys[i].keyframe, i % KEYFRAME_PERIOD == 0, "checkpoint {i}");
+        let rebuilt = index
+            .restore(&program, &recording, i)
+            .unwrap_or_else(|e| panic!("restoring checkpoint {i}: {e}"));
+        assert_eq!(rebuilt.to_bytes(), cp.to_bytes(), "checkpoint {i}");
+    }
+}

@@ -27,7 +27,7 @@ use quickrec::workloads::Scale;
 use quickrec::{
     record, replay_and_verify, replay_ordered_and_verify, CheckpointIndex, ChunkLog, Encoding,
     FormatManifest, OrderLog, OrderMode, Program, QueryEngine, Recording, RecordingConfig,
-    RecordingParts, RecordingVersion,
+    RecordingParts, RecordingVersion, CHECKPOINT_INDEX_VERSION,
 };
 
 /// Same two-syscall program the CLI contract tests record: console
@@ -139,6 +139,9 @@ fn legacy_parts(rec: &Recording, encoding: Encoding) -> RecordingParts {
 }
 
 /// Checkpoint-index fixtures: (generator, encoding, checkpoint interval).
+/// Each pair has a frozen version-1 fixture under `checkpoints/<name>`
+/// (no longer writable, so regeneration copies it) and a current one
+/// under `checkpoints/v2/<name>`.
 const CHECKPOINT_FIXTURES: [(&str, Encoding, usize); 2] =
     [("hello", Encoding::Delta, 4), ("fft2", Encoding::Raw, 16)];
 
@@ -297,6 +300,14 @@ fn reject_fixtures() -> Vec<Reject> {
     order_bad_kind.record(&payload);
     order_bad_kind.record(&[9]); // unassigned edge-kind byte
 
+    // A current index whose first record claims to be a delta: there is
+    // no keyframe to apply it to.
+    let (gen, _, interval) = CHECKPOINT_FIXTURES[1];
+    let mut leading_delta =
+        CheckpointIndex::build(&generator_program(gen), recording_for(gen), interval)
+            .expect("build checkpoint index");
+    leading_delta.keys[0].keyframe = false;
+
     let bare_meta =
         frame::read(&parts.meta, PayloadKind::Meta, "meta").expect("framed meta")[0].to_vec();
     let mut meta_trailing = frame::Writer::new(PayloadKind::Meta);
@@ -384,6 +395,14 @@ fn reject_fixtures() -> Vec<Reject> {
             bytes: checkpoints_v99.finish(),
         },
         Reject {
+            name: "checkpoint-index-leading-delta",
+            file: "rejects/checkpoints-leading-delta.qrc",
+            decoder: "checkpoint-index",
+            error_contains: "first checkpoint record is a delta".to_string(),
+            reason: "a delta needs a keyframe before it: a delta-first index is corrupt",
+            bytes: leading_delta.to_bytes(),
+        },
+        Reject {
             name: "meta-trailing-bytes",
             file: "rejects/meta-trailing.qrm",
             decoder: "recording",
@@ -433,7 +452,17 @@ fn maybe_regen() {
 
 fn regenerate() {
     let root = golden_root();
-    for sub in ["v3", "v1", "order", "checkpoints", "store", "trace", "wire", "rejects"] {
+    // The version-1 checkpoint fixtures cannot be rewritten (only the
+    // current index version is writable): keep their directories and
+    // copy their manifest sections verbatim.
+    let frozen_checkpoints: Vec<String> = std::fs::read_to_string(root.join("MANIFEST.toml"))
+        .expect("regeneration keeps the v1 checkpoint pins of the existing MANIFEST.toml")
+        .split("\n[[")
+        .filter(|sec| sec.starts_with("checkpoint]]") && sec.contains("\nversion = 1\n"))
+        .map(|section| format!("\n[[{section}"))
+        .collect();
+    assert_eq!(frozen_checkpoints.len(), CHECKPOINT_FIXTURES.len(), "v1 checkpoint pins");
+    for sub in ["v3", "v1", "order", "checkpoints/v2", "store", "trace", "wire", "rejects"] {
         let dir = root.join(sub);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("create fixture subdir");
@@ -520,10 +549,12 @@ fn regenerate() {
     // Checkpoint-index fixtures: full recording directories with a
     // `checkpoints.qrc` sidecar attached, plus pinned seek-result
     // fingerprints (the time-travel compatibility promise).
+    manifest.push_str(&frozen_checkpoints.concat());
     for (gen, encoding, interval) in CHECKPOINT_FIXTURES {
-        let name = format!("{gen}-{}", encoding.name());
+        let name = format!("{gen}-{}-v{CHECKPOINT_INDEX_VERSION}", encoding.name());
         let parts = checkpoint_parts(gen, encoding, interval);
-        let dir = root.join("checkpoints").join(&name);
+        let path = format!("checkpoints/v{CHECKPOINT_INDEX_VERSION}/{gen}-{}", encoding.name());
+        let dir = root.join(&path);
         parts.save(&dir).expect("save checkpoint fixture");
         let rec = recording_for(gen);
         let program = generator_program(gen);
@@ -539,11 +570,13 @@ fn regenerate() {
         let index_bytes = parts.checkpoints.as_ref().expect("attached index");
         manifest.push_str(&format!(
             "\n[[checkpoint]]\nname = \"{name}\"\ngenerator = \"{gen}\"\nencoding = \"{}\"\n\
-             path = \"checkpoints/{name}\"\ninterval = {interval}\ntimeline_len = {}\n\
-             crc = \"0x{:08x}\"\nseek_targets = [{}]\nseek_fingerprints = [{}]\n",
+             path = \"{path}\"\nversion = {CHECKPOINT_INDEX_VERSION}\ninterval = {interval}\n\
+             timeline_len = {}\ncrc = \"0x{:08x}\"\nbytes_fingerprint = \"0x{:016x}\"\n\
+             seek_targets = [{}]\nseek_fingerprints = [{}]\n",
             encoding.name(),
             engine.timeline_len(),
             crc32::checksum(index_bytes),
+            qr_common::fingerprint::hash_bytes(index_bytes),
             targets.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(", "),
             fingerprints.join(", "),
         ));
@@ -810,11 +843,12 @@ fn interrupted_migrations_always_recover() {
 fn checkpoint_fixtures_seek_to_pinned_fingerprints() {
     let doc = manifest_doc();
     let sections = doc.sections_named("checkpoint");
-    assert_eq!(sections.len(), CHECKPOINT_FIXTURES.len());
+    assert_eq!(sections.len(), 2 * CHECKPOINT_FIXTURES.len(), "a v1 and a v2 fixture per pair");
     for fx in sections {
         let name = fx.require_str("name").unwrap();
         let gen = fx.require_str("generator").unwrap();
         let interval = fx.require_int("interval").unwrap() as usize;
+        let version = fx.require_int("version").unwrap() as u64;
         let dir = golden_root().join(fx.require_str("path").unwrap());
         let parts = RecordingParts::read(&dir).expect("read checkpoint fixture");
         let index_bytes = parts.checkpoints.clone().expect("fixture has checkpoints.qrc");
@@ -822,6 +856,21 @@ fn checkpoint_fixtures_seek_to_pinned_fingerprints() {
             crc32::checksum(&index_bytes),
             parse_hex(fx.require_str("crc").unwrap()) as u32,
             "{name}: checkpoints.qrc drifted from its pinned CRC"
+        );
+        // The CRC over a framed file only pins record lengths: each record's
+        // CRC trailer cancels its payload out of a CRC over the whole file.
+        // The FNV fingerprint pins every byte.
+        assert_eq!(
+            qr_common::fingerprint::hash_bytes(&index_bytes),
+            parse_hex(fx.require_str("bytes_fingerprint").unwrap()),
+            "{name}: checkpoints.qrc drifted from its pinned bytes"
+        );
+        let header = frame::read(&index_bytes, PayloadKind::CheckpointIndex, "checkpoint index")
+            .expect("framed index")[0];
+        assert_eq!(
+            qr_common::cursor::ByteReader::new(header, "index header").varint().unwrap(),
+            version,
+            "{name}: index header disagrees with the pinned version"
         );
 
         // The rewritten format manifest must list the new payload kind.
@@ -836,9 +885,28 @@ fn checkpoint_fixtures_seek_to_pinned_fingerprints() {
         let program = generator_program(gen);
 
         // Rebuilding the index from the logs is byte-identical: the
-        // sidecar is a pure function of the recording.
+        // sidecar is a pure function of the recording. An older-version
+        // index decodes to the same keys and, record by record, to the
+        // same snapshots the current writer's keyframes and deltas rebuild.
         let rebuilt = CheckpointIndex::build(&program, &rec, interval).expect("rebuild index");
-        assert_eq!(rebuilt.to_bytes(), index_bytes, "{name}: index regeneration drifted");
+        if version == CHECKPOINT_INDEX_VERSION {
+            assert_eq!(rebuilt.to_bytes(), index_bytes, "{name}: index regeneration drifted");
+        } else {
+            let frozen = CheckpointIndex::from_bytes(&index_bytes).expect("decode frozen index");
+            assert_eq!(frozen.keys.len(), rebuilt.keys.len(), "{name}");
+            for (i, (old, new)) in frozen.keys.iter().zip(&rebuilt.keys).enumerate() {
+                assert!(old.keyframe, "{name}: v1 record {i} must read as a keyframe");
+                assert_eq!(
+                    (old.position, old.instructions, &old.thread_icounts),
+                    (new.position, new.instructions, &new.thread_icounts),
+                    "{name}: key {i}"
+                );
+                let snapshot = |ix: &CheckpointIndex| {
+                    ix.restore(&program, &rec, i).expect("restore checkpoint").to_bytes()
+                };
+                assert_eq!(snapshot(&frozen), snapshot(&rebuilt), "{name}: checkpoint {i}");
+            }
+        }
 
         // Every pinned seek target lands on the pinned fingerprint,
         // both through the persisted index and from scratch.
@@ -884,6 +952,29 @@ fn checkpoint_fixtures_seek_to_pinned_fingerprints() {
         assert!(!report.changed, "{name}: index-less recording is not treated as current");
         Recording::load(&stripped_dir).expect("index-less recording loads");
         std::fs::remove_dir_all(&tmp).ok();
+    }
+}
+
+#[test]
+fn checkpoint_fixtures_of_every_version_pin_the_same_seeks() {
+    let doc = manifest_doc();
+    let sections = doc.sections_named("checkpoint");
+    fn pins(fx: &tomlmini::Table) -> (Option<&tomlmini::Value>, Option<&tomlmini::Value>) {
+        (fx.get("seek_targets"), fx.get("seek_fingerprints"))
+    }
+    for (gen, encoding, interval) in CHECKPOINT_FIXTURES {
+        let same_pair: Vec<_> = sections
+            .iter()
+            .filter(|fx| {
+                fx.require_str("generator").unwrap() == gen
+                    && fx.require_str("encoding").unwrap() == encoding.name()
+                    && fx.require_int("interval").unwrap() == interval as i64
+            })
+            .collect();
+        let versions: Vec<i64> =
+            same_pair.iter().map(|fx| fx.require_int("version").unwrap()).collect();
+        assert_eq!(versions, [1, CHECKPOINT_INDEX_VERSION as i64], "{gen}-{}", encoding.name());
+        assert_eq!(pins(same_pair[0]), pins(same_pair[1]), "{gen}-{}: seek pins", encoding.name());
     }
 }
 

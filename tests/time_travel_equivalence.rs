@@ -10,12 +10,23 @@
 //! indexes are structured errors that silently degrade to from-scratch
 //! replay.
 
-use qr_common::SplitMix64;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
+use qr_common::frame::{self, PayloadKind};
+use qr_common::{varint, SplitMix64, VirtAddr};
+use qr_isa::program::DATA_BASE;
+use qr_mem::memory::{DELTA_RUN_BYTES, PAGE_BYTES};
 use quickrec::workloads::{find, suite, Scale};
 use quickrec::{
     record, CheckpointIndex, Encoding, Program, QueryEngine, Recording, RecordingConfig,
     ReplayQuery, ThreadId,
 };
+
+/// Serializes the tests that count `qr_replay_index_corrupt_total`: each
+/// turns the process-wide metrics switch on, and must not have another
+/// test turn it back off mid-count.
+static METRICS: Mutex<()> = Mutex::new(());
 
 const THREADS: usize = 3;
 
@@ -188,6 +199,7 @@ fn mutate(bytes: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
 
 #[test]
 fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
+    let _metrics = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     let was_enabled = qr_obs::enabled();
     qr_obs::set_enabled(true);
     let (program, recording) = recorded("fft");
@@ -233,6 +245,135 @@ fn mutated_indexes_are_structured_errors_and_degrade_to_scratch() {
         "every rejected attach increments qr_replay_index_corrupt_total \
          ({corrupt_before} -> {corrupt_after}, {degraded} rejects)"
     );
+}
+
+/// `bytes` re-framed with record `at` edited: the CRCs stay valid, so
+/// the damage gets past the container check to the record decoders.
+fn reframed(bytes: &[u8], at: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut records: Vec<Vec<u8>> = frame::read(bytes, PayloadKind::CheckpointIndex, "index")
+        .expect("pristine index")
+        .into_iter()
+        .map(<[u8]>::to_vec)
+        .collect();
+    edit(&mut records[at]);
+    let mut w = frame::Writer::new(PayloadKind::CheckpointIndex);
+    for record in &records {
+        w.record(record);
+    }
+    w.finish()
+}
+
+/// `bytes` with the first memory run of one delta record re-aimed past
+/// the end of its page (behind valid CRCs), plus the position of the
+/// checkpoint that record belongs to.
+fn with_out_of_range_run(
+    program: &Program,
+    recording: &Recording,
+    index: &CheckpointIndex,
+    bytes: &[u8],
+) -> (Vec<u8>, u64) {
+    let scratch = QueryEngine::new(program, recording).expect("engine");
+    // Whole runs of the first data page, which the workload rewrites.
+    let len = program.data().len().min(PAGE_BYTES as usize) / DELTA_RUN_BYTES * DELTA_RUN_BYTES;
+    let data_at = |position: u64| {
+        let rp = scratch.seek(position as usize).expect("scratch seek");
+        rp.inspect_memory(VirtAddr(DATA_BASE), len).expect("data page is mapped")
+    };
+    let records = frame::read(bytes, PayloadKind::CheckpointIndex, "index").expect("index");
+    let page_tag = (DATA_BASE / PAGE_BYTES).to_le_bytes();
+    for i in (1..index.keys.len()).filter(|&i| !index.keys[i].keyframe) {
+        let before = data_at(index.keys[i - 1].position);
+        let after = data_at(index.keys[i].position);
+        // The first changed run of the page opens the page's first stretch.
+        let Some(run) = (0..len / DELTA_RUN_BYTES).find(|r| {
+            let span = r * DELTA_RUN_BYTES..(r + 1) * DELTA_RUN_BYTES;
+            before[span.clone()] != after[span]
+        }) else {
+            continue;
+        };
+        let data = &after[run * DELTA_RUN_BYTES..(run + 1) * DELTA_RUN_BYTES];
+        let mut first = Vec::new();
+        varint::write_u64(&mut first, run as u64);
+        // page number, run count (1-2 bytes), first run, stretch length
+        // (1-2 bytes), then the run's bytes.
+        let record = records[i + 1];
+        let found = (0..record.len()).find_map(|j| {
+            if !record[j..].starts_with(&page_tag) {
+                return None;
+            }
+            (1..=2).find_map(|runs_len| {
+                let at = j + page_tag.len() + runs_len;
+                let tail = record.get(at..)?;
+                let data_follows =
+                    |n: usize| tail.get(first.len() + n..).is_some_and(|t| t.starts_with(data));
+                (tail.starts_with(&first) && (1..=2).any(data_follows)).then_some(at)
+            })
+        });
+        if let Some(at) = found {
+            let mut beyond = Vec::new();
+            varint::write_u64(&mut beyond, (PAGE_BYTES as usize / DELTA_RUN_BYTES) as u64);
+            let damaged = reframed(bytes, i + 1, |r| {
+                r.splice(at..at + first.len(), beyond);
+            });
+            return (damaged, index.keys[i].position);
+        }
+    }
+    panic!("no delta record rewrites the first data page");
+}
+
+#[test]
+fn damaged_v2_records_degrade_each_answer_to_scratch() {
+    let _metrics = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = qr_obs::enabled();
+    qr_obs::set_enabled(true);
+    let (program, recording) = recorded("fft");
+    let scratch = QueryEngine::new(&program, &recording).expect("engine");
+    let len = scratch.timeline_len() as u64;
+    // Just over one keyframe group: two keyframes and their deltas.
+    let interval = len as usize / (quickrec::KEYFRAME_PERIOD + 2);
+    let index = CheckpointIndex::build(&program, &recording, interval).expect("index builds");
+    assert!(
+        index.keys.len() > quickrec::KEYFRAME_PERIOD,
+        "want keyframes and deltas ({} checkpoints)",
+        index.keys.len()
+    );
+    let bytes = index.to_bytes();
+    let records = frame::read(&bytes, PayloadKind::CheckpointIndex, "index").expect("index");
+
+    // (what, damaged index, position of the checkpoint a seek must use)
+    let mut cases = Vec::new();
+    for (r, record) in records.iter().enumerate() {
+        let position = r.checked_sub(1).map_or(0, |i| index.keys[i].position);
+        // A flipped bit under the frame CRC: the whole index is refused.
+        let mut flipped = bytes.clone();
+        flipped[record.as_ptr() as usize - bytes.as_ptr() as usize + record.len() / 2] ^= 0x10;
+        cases.push((format!("record {r} flipped"), flipped, position));
+        // A truncated record behind valid CRCs: the index attaches, and
+        // the seek that needs the record falls back to scratch.
+        if r > 0 {
+            let cut = reframed(&bytes, r, |rec| rec.truncate(rec.len() / 2));
+            cases.push((format!("record {r} truncated"), cut, position));
+        }
+    }
+    let (run_damage, position) = with_out_of_range_run(&program, &recording, &index, &bytes);
+    cases.push(("delta run beyond its page".into(), run_damage, position));
+
+    let mut expected = BTreeMap::new();
+    for (what, damaged, position) in cases {
+        let query = ReplayQuery::ReverseStep { events: len - position };
+        let want = expected.entry(position).or_insert_with(|| {
+            scratch.execute(query, None).expect("scratch query").to_bytes()
+        });
+        let before = index_corrupt_count();
+        let mut engine = QueryEngine::new(&program, &recording).expect("engine");
+        engine.attach_index_bytes(&damaged);
+        let answer = engine
+            .execute(query, None)
+            .unwrap_or_else(|e| panic!("{what}: degraded query failed: {e}"));
+        assert_eq!(&answer.to_bytes(), want, "{what}: answer differs from scratch");
+        assert!(index_corrupt_count() > before, "{what}: fallback was not counted");
+    }
+    qr_obs::set_enabled(was_enabled);
 }
 
 /// Current value of the `qr_replay_index_corrupt_total` counter, read
