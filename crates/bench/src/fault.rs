@@ -417,7 +417,7 @@ fn check_case(
 }
 
 /// One R1 job: records `spec` once, then runs `cases` deterministic
-/// mutations of one of its serialized logs through [`check_case`].
+/// mutations of one of its serialized logs through `check_case`.
 ///
 /// Returns one table row: workload, encoding, mutator, case count, how
 /// many mutants the strict decoder rejected vs accepted, and the mean

@@ -103,7 +103,7 @@ impl ChunkLog {
     /// framed container format (see [`qr_common::frame`]).
     pub fn to_bytes(&self, encoding: Encoding) -> Vec<u8> {
         let bytes = encoding.encode_framed_stream(&self.packets);
-        crate::obs::log_serialized(encoding, bytes.len());
+        crate::obs::LOG_BYTES.add_at(encoding.tag() as usize, bytes.len() as u64);
         bytes
     }
 

@@ -1,137 +1,81 @@
-//! Recorder metrics (`qr-obs` hooks).
+//! Recorder metrics, declared as [`qr_obs::Metric`] statics.
 //!
-//! Handles are resolved once into statics so the per-chunk hot path is
-//! a single relaxed atomic add; the registry lock is only taken on
-//! first use. Everything here is observational — values never feed back
-//! into the recording (see the determinism rule in `qr-obs`).
+//! Everything here is observational — values never feed back into the
+//! recording (see the determinism rule in `qr-obs`).
 
-use std::sync::{Arc, OnceLock};
-
-use qr_obs::{Counter, Histogram};
+use qr_obs::{Counter, Gauge, Histogram, Metric};
 
 use crate::chunk::TerminationReason;
 use crate::encoding::Encoding;
 use crate::po::{DeriveStats, EdgeKind};
 
-fn chunk_counters() -> &'static [Arc<Counter>; TerminationReason::ALL.len()] {
-    static HANDLES: OnceLock<[Arc<Counter>; TerminationReason::ALL.len()]> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        TerminationReason::ALL.map(|reason| {
-            qr_obs::global().counter(
-                "qr_recorder_chunks_total",
-                "Chunks emitted, by termination reason",
-                &[("reason", reason.label())],
-            )
-        })
-    })
-}
+/// Indexed by [`TerminationReason::code`].
+pub(crate) static CHUNKS: Metric<Counter, { TerminationReason::ALL.len() }> = Metric::counters(
+    "qr_recorder_chunks_total",
+    "Chunks emitted, by termination reason",
+    "reason",
+    || TerminationReason::ALL.map(TerminationReason::label),
+);
 
-fn chunk_size_histogram() -> &'static Arc<Histogram> {
-    static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
-    HANDLE.get_or_init(|| {
-        qr_obs::global().histogram(
-            "qr_recorder_chunk_size_insns",
-            "Chunk sizes in user instructions",
-            &[],
-            &[16, 64, 256, 1024, 4096, 16384, 65536, 262_144],
-        )
-    })
-}
+pub(crate) static CHUNK_SIZE: Metric<Histogram> = Metric::histogram(
+    "qr_recorder_chunk_size_insns",
+    "Chunk sizes in user instructions",
+    &[16, 64, 256, 1024, 4096, 16384, 65536, 262_144],
+);
 
-fn log_byte_counters() -> &'static [Arc<Counter>; Encoding::ALL.len()] {
-    static HANDLES: OnceLock<[Arc<Counter>; Encoding::ALL.len()]> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        Encoding::ALL.map(|enc| {
-            qr_obs::global().counter(
-                "qr_recorder_log_bytes_total",
-                "Serialized chunk-log bytes, by encoding",
-                &[("encoding", enc.name())],
-            )
-        })
-    })
-}
+/// Indexed by [`Encoding::tag`].
+pub(crate) static LOG_BYTES: Metric<Counter, { Encoding::ALL.len() }> = Metric::counters(
+    "qr_recorder_log_bytes_total",
+    "Serialized chunk-log bytes, by encoding",
+    "encoding",
+    || Encoding::ALL.map(Encoding::name),
+);
 
-/// Accounts one emitted chunk.
-pub(crate) fn chunk_emitted(reason: TerminationReason, icount: u64) {
-    if !qr_obs::enabled() {
-        return;
-    }
-    chunk_counters()[reason.code() as usize].inc();
-    chunk_size_histogram().observe(icount);
-}
+/// The implicit program order, then every logged [`EdgeKind`], in the
+/// order [`order_derived`] adds them.
+static PO_EDGES: Metric<Counter, { EdgeKind::ALL.len() + 1 }> = Metric::counters(
+    "qr_core_po_edges_total",
+    "Partial-order happens-before edges derived, by kind",
+    "kind",
+    || ["program", EdgeKind::Conflict.label(), EdgeKind::Spawn.label(), EdgeKind::Input.label()],
+);
 
-/// Accounts one serialized chunk log.
-pub(crate) fn log_serialized(encoding: Encoding, bytes: usize) {
-    if !qr_obs::enabled() {
-        return;
-    }
-    log_byte_counters()[encoding.tag() as usize].add(bytes as u64);
-}
+pub(crate) static ORDER_REJECTS: Metric<Counter> = Metric::counter(
+    "qr_core_po_rejects_total",
+    "Order-log decodes that found corruption (strict reject or salvage stop)",
+);
 
-/// `qr_core_po_edges_total{kind=...}` handles: the implicit program
-/// order plus every logged [`EdgeKind`], in a fixed label order.
-fn po_edge_counters() -> &'static [Arc<Counter>; EdgeKind::ALL.len() + 1] {
-    static HANDLES: OnceLock<[Arc<Counter>; EdgeKind::ALL.len() + 1]> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        ["program", EdgeKind::ALL[0].label(), EdgeKind::ALL[1].label(), EdgeKind::ALL[2].label()]
-            .map(|kind| {
-                qr_obs::global().counter(
-                    "qr_core_po_edges_total",
-                    "Partial-order happens-before edges derived, by kind",
-                    &[("kind", kind)],
-                )
-            })
-    })
-}
+pub(crate) static ORDER_LOG_BYTES: Metric<Gauge> = Metric::gauge(
+    "qr_core_po_log_bytes",
+    "Serialized partial-order log size in bytes (last derivation)",
+);
 
 /// Accounts one partial-order derivation.
 pub(crate) fn order_derived(stats: &DeriveStats) {
-    if !qr_obs::enabled() {
-        return;
-    }
-    let handles = po_edge_counters();
-    handles[0].add(stats.program_edges);
-    for (i, kind) in EdgeKind::ALL.into_iter().enumerate() {
-        let count = match kind {
-            EdgeKind::Conflict => stats.conflict_edges,
-            EdgeKind::Spawn => stats.spawn_edges,
-            EdgeKind::Input => stats.input_edges,
-        };
-        handles[i + 1].add(count);
+    let counts = [stats.program_edges, stats.conflict_edges, stats.spawn_edges, stats.input_edges];
+    for (i, count) in counts.into_iter().enumerate() {
+        PO_EDGES.add_at(i, count);
     }
 }
 
-/// Accounts one order-log decode that found corruption — a strict
-/// reject, or a salvage that stopped before the end of the container.
-pub(crate) fn order_rejected() {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if !qr_obs::enabled() {
-        return;
-    }
-    HANDLE
-        .get_or_init(|| {
-            qr_obs::global().counter(
-                "qr_core_po_rejects_total",
-                "Order-log decodes that found corruption (strict reject or salvage stop)",
-                &[],
-            )
-        })
-        .inc();
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Publishes the size of the last serialized ordering log.
-pub(crate) fn order_serialized(bytes: usize) {
-    static HANDLE: OnceLock<Arc<qr_obs::Gauge>> = OnceLock::new();
-    if !qr_obs::enabled() {
-        return;
+    /// Touches every family once, so hard-to-trigger ones (order-log
+    /// rejects) are pinned too.
+    #[test]
+    fn metric_catalog_is_pinned() {
+        CHUNKS.inc_at(TerminationReason::Syscall.code() as usize);
+        CHUNK_SIZE.observe(1);
+        LOG_BYTES.add_at(Encoding::Raw.tag() as usize, 1);
+        order_derived(&DeriveStats::default());
+        ORDER_REJECTS.inc();
+        ORDER_LOG_BYTES.set(1);
+        let text = qr_obs::global().render();
+        assert_eq!(
+            qr_obs::catalog(&text, &["qr_recorder_", "qr_core_"]),
+            include_str!("obs_catalog.txt")
+        );
     }
-    HANDLE
-        .get_or_init(|| {
-            qr_obs::global().gauge(
-                "qr_core_po_log_bytes",
-                "Serialized partial-order log size in bytes (last derivation)",
-                &[],
-            )
-        })
-        .set(bytes as i64);
 }

@@ -243,7 +243,7 @@ impl OrderLog {
             w.record(&payload);
         }
         let bytes = w.finish();
-        crate::obs::order_serialized(bytes.len());
+        crate::obs::ORDER_LOG_BYTES.set(bytes.len() as i64);
         bytes
     }
 
@@ -273,7 +273,7 @@ impl OrderLog {
     pub fn salvage_from_bytes(buf: &[u8]) -> (OrderLog, OrderSalvage) {
         let (log, salvage) = OrderLog::salvage_inner(buf);
         if salvage.corruption.is_some() {
-            crate::obs::order_rejected();
+            crate::obs::ORDER_REJECTS.inc();
         }
         (log, salvage)
     }

@@ -38,7 +38,8 @@ impl RecorderStats {
 
     /// Accounts one emitted chunk.
     pub fn count_chunk(&mut self, packet: &ChunkPacket) {
-        crate::obs::chunk_emitted(packet.reason, packet.icount);
+        crate::obs::CHUNKS.inc_at(packet.reason.code() as usize);
+        crate::obs::CHUNK_SIZE.observe(packet.icount);
         let core = &mut self.cores[packet.core.index()];
         core.chunks += 1;
         core.instructions += packet.icount;

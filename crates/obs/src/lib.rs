@@ -15,6 +15,23 @@
 //!   `qr_common::frame` container, so traces are CRC-verified and
 //!   salvageable like every other QuickRec log.
 //!
+//! # Declaring a metric
+//!
+//! Adding a metric is one declaration: a [`Metric`] `static` that names
+//! the family, its help text, an optional label key with its fixed
+//! values, and histogram bounds. Instrumented code then calls `inc`,
+//! `add`, `set`, `observe` or `observe_since` on the static. The
+//! registration policy lives in [`Metric`] alone:
+//!
+//! - **Lazy and enabled-only.** While metrics are disabled a handle
+//!   registers nothing, records nothing, and [`clock`] reads no clock.
+//! - **Whole family at once.** The first enabled use registers a series
+//!   for every label value, so zero-valued siblings still appear in the
+//!   exposition.
+//! - **Lock-free afterwards.** Every later use is one relaxed load of
+//!   the enabled flag, the `OnceLock` fast path and one relaxed atomic
+//!   update: no registry lock, no map lookup.
+//!
 //! # The determinism rule
 //!
 //! Instrumentation is strictly *observational*. Recorder, replayer,
@@ -33,7 +50,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    enabled, global, parse_exposition, set_enabled, Counter, Exposition, Gauge, Histogram,
-    Registry, LATENCY_US, SIZE_BYTES,
+    catalog, clock, enabled, global, parse_exposition, set_enabled, Counter, Exposition, Gauge,
+    Histogram, Metric, Registry, LATENCY_US, SIZE_BYTES,
 };
 pub use trace::{EventKind, Journal, Span, TraceEvent};

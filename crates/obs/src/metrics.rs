@@ -3,9 +3,10 @@
 //! text exposition.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`s detached
-//! from the registry: instrumentation sites resolve them once (usually
-//! into a `OnceLock`) and then update lock-free. The registry itself is
-//! only locked on registration and on render, never on the hot path.
+//! from the registry. Instrumented crates declare each family once as a
+//! [`Metric`] `static`, which resolves the handles on first enabled use
+//! and then updates them lock-free. The registry itself is only locked
+//! on registration and on render, never on the hot path.
 //!
 //! **Determinism rule** (enforced by the observability test battery):
 //! metric values are *observations* — nothing in the deterministic
@@ -124,20 +125,16 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.record(v);
         }
+    }
+
+    fn record(&self, v: u64) {
         let slot = self.bounds.partition_point(|&b| b < v);
         self.buckets[slot].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the microseconds elapsed since `start`.
-    pub fn observe_since(&self, start: Instant) {
-        if enabled() {
-            self.observe(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        }
     }
 
     /// Total observations.
@@ -406,6 +403,191 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
+/// A stopwatch reading for [`Metric::observe_since`]: `Some(now)` only
+/// while metrics are enabled, so disabled paths never read the clock.
+pub fn clock() -> Option<Instant> {
+    enabled().then(Instant::now)
+}
+
+/// Registers one series of a [`Metric`] family: the per-type half of
+/// its declaration.
+type Register<T> = fn(&Registry, &str, &str, &[(&str, &str)], &[u64]) -> Arc<T>;
+
+/// A metric family declared once, as a `static`, and registered into
+/// the [`global`] registry on first use.
+///
+/// The declaration holds everything about the family (name, help, the
+/// optional label key with its fixed values, histogram bounds), so
+/// adding a metric is one `static`:
+///
+/// ```
+/// use qr_obs::{Counter, Metric};
+///
+/// static RUNS: Metric<Counter, 2> =
+///     Metric::counters("doc_runs_total", "Runs, by mode", "mode", || ["serial", "parallel"]);
+///
+/// RUNS.inc_at(1); // mode="parallel"
+/// ```
+///
+/// Label values come from a function, so values derived from an enum
+/// (`Enum::ALL.map(Enum::label)`) are computed once, at first use, in
+/// the enum's index order: series `i` carries label value `i`. See the
+/// crate docs for the registration policy.
+pub struct Metric<T, const N: usize = 1> {
+    name: &'static str,
+    help: &'static str,
+    key: &'static str,
+    values: fn() -> [&'static str; N],
+    bounds: &'static [u64],
+    register: Register<T>,
+    series: OnceLock<[Arc<T>; N]>,
+}
+
+impl<T, const N: usize> Metric<T, N> {
+    /// Series `i`, registering the whole family on first use; `None`
+    /// while metrics are disabled. Panics if `i >= N`, or if the name is
+    /// already registered with another type.
+    fn at(&self, i: usize) -> Option<&T> {
+        if !enabled() {
+            return None;
+        }
+        let series = self.series.get_or_init(|| {
+            (self.values)().map(|value| {
+                let pair = [(self.key, value)];
+                let labels: &[(&str, &str)] = if self.key.is_empty() { &[] } else { &pair };
+                (self.register)(global(), self.name, self.help, labels, self.bounds)
+            })
+        });
+        Some(&series[i])
+    }
+}
+
+impl<const N: usize> Metric<Counter, N> {
+    /// A counter family with one series per `key` label value.
+    pub const fn counters(
+        name: &'static str,
+        help: &'static str,
+        key: &'static str,
+        values: fn() -> [&'static str; N],
+    ) -> Self {
+        let register: Register<Counter> = |r, n, h, l, _| r.counter(n, h, l);
+        Metric { name, help, key, values, bounds: &[], register, series: OnceLock::new() }
+    }
+
+    /// Adds 1 to series `i`.
+    pub fn inc_at(&self, i: usize) {
+        self.add_at(i, 1);
+    }
+
+    /// Adds `n` to series `i`.
+    pub fn add_at(&self, i: usize, n: u64) {
+        if let Some(c) = self.at(i) {
+            c.value.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Metric<Counter> {
+    /// An unlabeled counter.
+    pub const fn counter(name: &'static str, help: &'static str) -> Self {
+        Metric::counters(name, help, "", || [""])
+    }
+
+    /// Adds 1.
+    pub fn inc(&self) {
+        self.add_at(0, 1);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.add_at(0, n);
+    }
+}
+
+impl Metric<Gauge> {
+    /// An unlabeled gauge.
+    pub const fn gauge(name: &'static str, help: &'static str) -> Self {
+        let register: Register<Gauge> = |r, n, h, l, _| r.gauge(n, h, l);
+        Metric { name, help, key: "", values: || [""], bounds: &[], register, series: OnceLock::new() }
+    }
+
+    /// Sets the value.
+    pub fn set(&self, v: i64) {
+        if let Some(g) = self.at(0) {
+            g.value.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds `delta` (may be negative).
+    pub fn add(&self, delta: i64) {
+        if let Some(g) = self.at(0) {
+            g.value.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<const N: usize> Metric<Histogram, N> {
+    /// A histogram family with one series per `key` label value, all
+    /// with the bucket `bounds`.
+    pub const fn histograms(
+        name: &'static str,
+        help: &'static str,
+        key: &'static str,
+        values: fn() -> [&'static str; N],
+        bounds: &'static [u64],
+    ) -> Self {
+        let register: Register<Histogram> = |r, n, h, l, b| r.histogram(n, h, l, b);
+        Metric { name, help, key, values, bounds, register, series: OnceLock::new() }
+    }
+
+    /// Records into series `i` the microseconds elapsed since a
+    /// [`clock`] reading; a `None` reading records nothing.
+    pub fn observe_since_at(&self, i: usize, start: Option<Instant>) {
+        if let (Some(start), Some(h)) = (start, self.at(i)) {
+            h.record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        }
+    }
+}
+
+impl Metric<Histogram> {
+    /// An unlabeled histogram with the bucket `bounds`.
+    pub const fn histogram(name: &'static str, help: &'static str, bounds: &'static [u64]) -> Self {
+        Metric::histograms(name, help, "", || [""], bounds)
+    }
+
+    /// Records one observation.
+    pub fn observe(&self, v: u64) {
+        if let Some(h) = self.at(0) {
+            h.record(v);
+        }
+    }
+
+    /// Records the microseconds elapsed since a [`clock`] reading.
+    pub fn observe_since(&self, start: Option<Instant>) {
+        self.observe_since_at(0, start);
+    }
+}
+
+/// The identity of the families in exposition `text` whose names start
+/// with one of `prefixes`: their `# HELP` and `# TYPE` lines, and each
+/// sample's `name{labels}` without its value. Tests pin a crate's
+/// metric catalog with it.
+pub fn catalog(text: &str, prefixes: &[&str]) -> String {
+    let mut out = String::new();
+    for line in text.lines() {
+        let name = line.trim_start_matches("# HELP ").trim_start_matches("# TYPE ");
+        if prefixes.iter().any(|p| name.starts_with(p)) {
+            let identity = match line.rsplit_once(' ') {
+                Some((series, _)) if !line.starts_with('#') => series,
+                _ => line,
+            };
+            out.push_str(identity);
+            out.push('\n');
+        }
+    }
+    out
+}
+
 /// Summary of a parsed exposition (see [`parse_exposition`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exposition {
@@ -562,6 +744,34 @@ mod tests {
         let reg = Registry::new();
         reg.counter("t_collide", "x", &[]);
         reg.gauge("t_collide", "x", &[]);
+    }
+
+    #[test]
+    fn metric_registers_its_whole_family_on_first_enabled_use() {
+        static POLICY: Metric<Counter, 3> =
+            Metric::counters("t_policy_total", "policy", "slot", || ["a", "b", "c"]);
+        let _off = FLAG.write().unwrap_or_else(PoisonError::into_inner);
+        set_enabled(false);
+        POLICY.inc_at(1);
+        let disabled = (POLICY.at(1).is_none(), clock().is_none());
+        set_enabled(true);
+        assert_eq!(disabled, (true, true), "disabled handles neither resolve nor read the clock");
+        assert!(!global().render().contains("t_policy_total"), "disabled use registered");
+        POLICY.inc_at(1);
+        let text = global().render();
+        for series in ["{slot=\"a\"} 0", "{slot=\"b\"} 1", "{slot=\"c\"} 0"] {
+            assert!(text.contains(&format!("t_policy_total{series}\n")), "{series} in\n{text}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn metric_kind_collision_panics() {
+        static COUNTER: Metric<Counter> = Metric::counter("t_metric_collide", "x");
+        static GAUGE: Metric<Gauge> = Metric::gauge("t_metric_collide", "x");
+        let _on = FLAG.read().unwrap_or_else(PoisonError::into_inner);
+        COUNTER.inc();
+        GAUGE.set(1);
     }
 
     #[test]

@@ -1,178 +1,101 @@
-//! Replay metrics (`qr-obs` hooks): serial vs parallel scheduler
-//! traffic, DAG stalls, ready-queue occupancy, and store-buffer
-//! activity. Observational only — replay outcomes and fingerprints
-//! never read these back (see the determinism rule in `qr-obs`).
+//! Replay metrics, declared as [`qr_obs::Metric`] statics: serial vs
+//! parallel scheduler traffic, DAG stalls, ready-queue occupancy, and
+//! store-buffer activity. Observational only — replay outcomes and
+//! fingerprints never read these back (see the determinism rule in
+//! `qr-obs`).
 
-use std::sync::{Arc, OnceLock};
+use qr_obs::{Counter, Histogram, Metric};
 
-use qr_obs::{Counter, Histogram};
+/// Series index of the `mode="serial"` label.
+pub(crate) const SERIAL: usize = 0;
+/// Series index of the `mode="parallel"` label.
+pub(crate) const PARALLEL: usize = 1;
 
-fn mode_counter(
-    cell: &'static OnceLock<[Arc<Counter>; 2]>,
-    name: &'static str,
-    help: &'static str,
-    mode: &'static str,
-) -> &'static Arc<Counter> {
-    let pair = cell.get_or_init(|| {
-        ["serial", "parallel"]
-            .map(|m| qr_obs::global().counter(name, help, &[("mode", m)]))
-    });
-    &pair[usize::from(mode == "parallel")]
-}
+pub(crate) static RUNS: Metric<Counter, 2> = Metric::counters(
+    "qr_replay_runs_total",
+    "Replay runs, by scheduler mode",
+    "mode",
+    || ["serial", "parallel"],
+);
 
-/// Accounts the start of one replay run.
-pub(crate) fn run_started(mode: &'static str) {
-    static HANDLES: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
-    if qr_obs::enabled() {
-        mode_counter(&HANDLES, "qr_replay_runs_total", "Replay runs, by scheduler mode", mode)
-            .inc();
-    }
-}
+pub(crate) static NODES: Metric<Counter, 2> = Metric::counters(
+    "qr_replay_nodes_total",
+    "Timeline events executed, by scheduler mode",
+    "mode",
+    || ["serial", "parallel"],
+);
 
-/// Accounts the timeline events a finished run executed.
-pub(crate) fn nodes_executed(mode: &'static str, n: u64) {
-    static HANDLES: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
-    if qr_obs::enabled() {
-        mode_counter(
-            &HANDLES,
-            "qr_replay_nodes_total",
-            "Timeline events executed, by scheduler mode",
-            mode,
-        )
-        .add(n);
-    }
-}
+pub(crate) static DAG_STALLS: Metric<Counter> = Metric::counter(
+    "qr_replay_dag_stalls_total",
+    "Parallel workers that blocked waiting for a ready DAG node",
+);
 
-/// Accounts one parallel worker blocking on an empty ready queue.
-pub(crate) fn dag_stall() {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() {
-        HANDLE
-            .get_or_init(|| {
-                qr_obs::global().counter(
-                    "qr_replay_dag_stalls_total",
-                    "Parallel workers that blocked waiting for a ready DAG node",
-                    &[],
-                )
-            })
-            .inc();
-    }
-}
+/// The scheduler's occupancy signal: a deep queue means workers are
+/// starved for slots, depth 0 after a pop means the DAG's critical path
+/// is binding.
+pub(crate) static READY_QUEUE_DEPTH: Metric<Histogram> = Metric::histogram(
+    "qr_replay_ready_queue_depth",
+    "Ready-queue depth observed at each parallel dispatch",
+    &[1, 2, 4, 8, 16, 32, 64, 128, 256],
+);
 
-/// Observes the ready-queue depth at a dispatch — the scheduler's
-/// occupancy signal (deep queue = workers starved for slots, depth 0
-/// after pop = the DAG's critical path is binding).
-pub(crate) fn queue_depth(depth: usize) {
-    static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
-    if qr_obs::enabled() {
-        HANDLE
-            .get_or_init(|| {
-                qr_obs::global().histogram(
-                    "qr_replay_ready_queue_depth",
-                    "Ready-queue depth observed at each parallel dispatch",
-                    &[],
-                    &[1, 2, 4, 8, 16, 32, 64, 128, 256],
-                )
-            })
-            .observe(depth as u64);
-    }
-}
+/// Series index of lines pulled canonical → lane before a node runs.
+pub(crate) const PULLED: usize = 0;
+/// Series index of lines pushed lane → canonical after a node runs.
+pub(crate) const PUSHED: usize = 1;
 
-fn line_counter(
-    cell: &'static OnceLock<Arc<Counter>>,
-    direction: &'static str,
-) -> &'static Arc<Counter> {
-    cell.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_replay_lines_total",
-            "Cache lines copied between lanes and canonical memory",
-            &[("direction", direction)],
-        )
-    })
-}
+pub(crate) static LINES: Metric<Counter, 2> = Metric::counters(
+    "qr_replay_lines_total",
+    "Cache lines copied between lanes and canonical memory",
+    "direction",
+    || ["pulled", "pushed"],
+);
 
-/// Accounts lines pulled canonical → lane before a node executes.
-pub(crate) fn lines_pulled(n: usize) {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() && n > 0 {
-        line_counter(&HANDLE, "pulled").add(n as u64);
-    }
-}
+/// A corrupt or mismatched index degrades silently to from-scratch
+/// replay; this counter is the only way to see it.
+pub(crate) static INDEX_CORRUPT: Metric<Counter> = Metric::counter(
+    "qr_replay_index_corrupt_total",
+    "Persisted checkpoint indexes rejected and degraded to from-scratch replay",
+);
 
-/// Accounts lines pushed lane → canonical after a node executes.
-pub(crate) fn lines_pushed(n: usize) {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() && n > 0 {
-        line_counter(&HANDLE, "pushed").add(n as u64);
-    }
-}
+/// Indexed by whether a persisted checkpoint cut the re-execution
+/// distance.
+pub(crate) static SEEKS: Metric<Counter, 2> = Metric::counters(
+    "qr_replay_seeks_total",
+    "Time-travel seeks, by whether a checkpoint index was used",
+    "source",
+    || ["scratch", "index"],
+);
 
-/// Accounts one corrupt (or mismatched) persisted checkpoint index that
-/// was silently degraded to from-scratch replay. The degradation is
-/// invisible in results — this counter is the only way to see it.
-pub(crate) fn index_corrupt() {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() {
-        HANDLE
-            .get_or_init(|| {
-                qr_obs::global().counter(
-                    "qr_replay_index_corrupt_total",
-                    "Persisted checkpoint indexes rejected and degraded to from-scratch replay",
-                    &[],
-                )
-            })
-            .inc();
-    }
-}
+pub(crate) static ORDER_RECONSTRUCT: Metric<Histogram> = Metric::histogram(
+    "qr_replay_order_reconstruct_seconds",
+    "Microseconds spent rebuilding the replay DAG from a recorded order log",
+    qr_obs::LATENCY_US,
+);
 
-/// Accounts one seek, labeled by whether a persisted checkpoint cut the
-/// re-execution distance or the replay started from scratch.
-pub(crate) fn seek(used_index: bool) {
-    static HANDLES: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
-    if qr_obs::enabled() {
-        let pair = HANDLES.get_or_init(|| {
-            ["scratch", "index"].map(|source| {
-                qr_obs::global().counter(
-                    "qr_replay_seeks_total",
-                    "Time-travel seeks, by whether a checkpoint index was used",
-                    &[("source", source)],
-                )
-            })
-        });
-        pair[usize::from(used_index)].inc();
-    }
-}
+pub(crate) static STORE_BUFFER_DRAINS: Metric<Counter> = Metric::counter(
+    "qr_replay_store_buffer_drains_total",
+    "Chunk-boundary store-buffer drains during replay",
+);
 
-/// Observes one order-log DAG reconstruction (microsecond resolution,
-/// like the other latency histograms).
-pub(crate) fn order_reconstructed(started: std::time::Instant) {
-    static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
-    if qr_obs::enabled() {
-        HANDLE
-            .get_or_init(|| {
-                qr_obs::global().histogram(
-                    "qr_replay_order_reconstruct_seconds",
-                    "Microseconds spent rebuilding the replay DAG from a recorded order log",
-                    &[],
-                    qr_obs::LATENCY_US,
-                )
-            })
-            .observe_since(started);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Accounts one TSO store-buffer boundary drain.
-pub(crate) fn store_buffer_drain() {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    if qr_obs::enabled() {
-        HANDLE
-            .get_or_init(|| {
-                qr_obs::global().counter(
-                    "qr_replay_store_buffer_drains_total",
-                    "Chunk-boundary store-buffer drains during replay",
-                    &[],
-                )
-            })
-            .inc();
+    /// Touches every family once, so hard-to-trigger ones (corrupt
+    /// index) are pinned too.
+    #[test]
+    fn metric_catalog_is_pinned() {
+        RUNS.inc_at(SERIAL);
+        NODES.add_at(SERIAL, 1);
+        DAG_STALLS.inc();
+        READY_QUEUE_DEPTH.observe(1);
+        LINES.add_at(PULLED, 1);
+        INDEX_CORRUPT.inc();
+        SEEKS.inc_at(1);
+        ORDER_RECONSTRUCT.observe_since(qr_obs::clock());
+        STORE_BUFFER_DRAINS.inc();
+        let text = qr_obs::global().render();
+        assert_eq!(qr_obs::catalog(&text, &["qr_replay_"]), include_str!("obs_catalog.txt"));
     }
 }

@@ -84,7 +84,7 @@ pub fn replay_ordered(
             "recording has no order.qrp sidecar (recorded in total-order mode?)".into(),
         ));
     };
-    let started = std::time::Instant::now();
+    let started = qr_obs::clock();
     // Proves the edge set is acyclic and every endpoint exists before
     // the scheduler commits to it.
     po::linearize(order)?;
@@ -148,7 +148,7 @@ pub fn replay_ordered(
     }
     let mut dag = Dag { nodes, preds, succs: Vec::new() };
     dag.link_succs();
-    crate::obs::order_reconstructed(started);
+    crate::obs::ORDER_RECONSTRUCT.observe_since(started);
     Runtime::new(program, recording, dag, jobs)?.run()
 }
 

@@ -540,8 +540,8 @@ impl<'a> Runtime<'a> {
     /// Executes one timeline node on its thread's lane.
     fn exec_node(&self, idx: usize) -> Result<()> {
         let node = &self.dag.nodes[idx];
-        crate::obs::lines_pulled(node.pull.len());
-        crate::obs::lines_pushed(node.push.len());
+        crate::obs::LINES.add_at(crate::obs::PULLED, node.pull.len() as u64);
+        crate::obs::LINES.add_at(crate::obs::PUSHED, node.push.len() as u64);
         let mut lane = self.lanes[node.tid.index()].lock().unwrap();
         for (addr, bytes) in self.pull_lines(&node.pull) {
             lane.machine
@@ -632,7 +632,7 @@ impl<'a> Runtime<'a> {
             | TerminationReason::ConflictWaw => false,
         };
         if drains {
-            crate::obs::store_buffer_drain();
+            crate::obs::STORE_BUFFER_DRAINS.inc();
             lane.machine.drain_store_buffer(core)?;
         }
         let pending = lane.machine.mem().pending_stores(core).min(u8::MAX as usize) as u8;
@@ -757,10 +757,10 @@ impl<'a> Runtime<'a> {
                         return;
                     }
                     if let Some(idx) = queue.pop_front() {
-                        crate::obs::queue_depth(queue.len());
+                        crate::obs::READY_QUEUE_DEPTH.observe(queue.len() as u64);
                         break idx;
                     }
-                    crate::obs::dag_stall();
+                    crate::obs::DAG_STALLS.inc();
                     queue = self.wake.wait(queue).unwrap();
                 }
             };
@@ -825,7 +825,7 @@ impl<'a> Runtime<'a> {
     }
 
     pub(crate) fn run(self) -> Result<ReplayOutcome> {
-        crate::obs::run_started("parallel");
+        crate::obs::RUNS.inc_at(crate::obs::PARALLEL);
         let workers = self.jobs.min(self.dag.nodes.len()).clamp(1, 32);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -837,7 +837,7 @@ impl<'a> Runtime<'a> {
         }
         let total = self.dag.nodes.len();
         let completed = self.completed.load(Ordering::SeqCst);
-        crate::obs::nodes_executed("parallel", completed as u64);
+        crate::obs::NODES.add_at(crate::obs::PARALLEL, completed as u64);
         if completed != total {
             // A dependency cycle is impossible (edges follow timestamp
             // order); reaching this means the scheduler wedged.

@@ -490,9 +490,9 @@ impl<'a> Replayer<'a> {
     ///
     /// See [`replay_and_verify`].
     pub fn run_with_report(mut self) -> Result<(ReplayOutcome, RaceReport)> {
-        crate::obs::run_started("serial");
+        crate::obs::RUNS.inc_at(crate::obs::SERIAL);
         while self.step_timeline()? {}
-        crate::obs::nodes_executed("serial", self.timeline_pos as u64);
+        crate::obs::NODES.add_at(crate::obs::SERIAL, self.timeline_pos as u64);
         self.finish()
     }
 
@@ -839,7 +839,7 @@ impl<'a> Replayer<'a> {
             | TerminationReason::ConflictWaw => false,
         };
         if drains {
-            crate::obs::store_buffer_drain();
+            crate::obs::STORE_BUFFER_DRAINS.inc();
             let access = self.machine.drain_store_buffer(core)?;
             if let Some(detector) = &mut self.detector {
                 for event in &access.events {

@@ -836,7 +836,7 @@ impl<'a> QueryEngine<'a> {
         match CheckpointIndex::from_bytes(bytes).and_then(|ix| self.attach_index(ix)) {
             Ok(()) => true,
             Err(_) => {
-                crate::obs::index_corrupt();
+                crate::obs::INDEX_CORRUPT.inc();
                 false
             }
         }
@@ -884,11 +884,11 @@ impl<'a> QueryEngine<'a> {
                     .and_then(|cp| Replayer::resume(self.program, self.recording, cp))
                 {
                     Ok(rp) => restored = Some(rp),
-                    Err(_) => crate::obs::index_corrupt(),
+                    Err(_) => crate::obs::INDEX_CORRUPT.inc(),
                 }
             }
         }
-        crate::obs::seek(restored.is_some());
+        crate::obs::SEEKS.inc_at(usize::from(restored.is_some()));
         let mut rp = match restored {
             Some(rp) => rp,
             None => Replayer::new(self.program, self.recording)?,

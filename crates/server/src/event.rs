@@ -330,12 +330,12 @@ fn pump(conn_id: u64, conn: &mut Conn, ctx: &Ctx) {
 }
 
 fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
-    let kind = crate::obs::request_index(&request);
-    let label = crate::obs::kind_label(&request);
-    let start = crate::obs::clock();
+    let (kind, session) = crate::obs::request_key(&request);
+    let label = crate::obs::KINDS[kind];
+    let start = qr_obs::clock();
     match request {
         Request::Shutdown => {
-            let _span = qr_obs::trace::global().span(label, 0);
+            let _span = qr_obs::trace::global().span(label, session);
             conn.queue_response(&Response::ShuttingDown);
             crate::obs::request_handled(kind, start);
             conn.close_after_flush = true;
@@ -350,7 +350,7 @@ fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
             let pool = Arc::clone(ctx.pool);
             let worker = ctx.worker;
             let submitted = ctx.pool.try_submit(Box::new(move || {
-                let _span = qr_obs::trace::global().span(label, 0);
+                let _span = qr_obs::trace::global().span(label, session);
                 let response = handle_request(request, &shared, &pool);
                 crate::obs::request_handled(kind, start);
                 shared.router.complete(worker, conn_id, proto::encode_response(&response));
@@ -359,7 +359,7 @@ fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
                 Ok(()) => conn.in_flight = true,
                 Err((_task, queued)) => {
                     ctx.shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-                    crate::obs::busy_rejection();
+                    crate::obs::BUSY_REJECTIONS.inc();
                     conn.queue_response(&Response::Busy { queued: queued as u32 });
                 }
             }
@@ -367,7 +367,7 @@ fn dispatch(conn_id: u64, conn: &mut Conn, request: Request, ctx: &Ctx) {
         request => {
             // Everything else is a registry/store read or a queue push:
             // microseconds, handled inline on the event worker.
-            let _span = qr_obs::trace::global().span(label, 0);
+            let _span = qr_obs::trace::global().span(label, session);
             let response = handle_request(request, ctx.shared, ctx.pool);
             crate::obs::request_handled(kind, start);
             conn.queue_response(&response);
@@ -438,7 +438,7 @@ fn drain_wake_pipe(wake_rx: &UnixStream) {
 
 fn close_accounting(shared: &Shared) {
     shared.open_connections.fetch_sub(1, Ordering::SeqCst);
-    crate::obs::connection_delta(-1);
+    crate::obs::OPEN_CONNECTIONS.add(-1);
 }
 
 /// One event worker: multiplexes its share of the connections until
@@ -470,7 +470,7 @@ pub(crate) fn worker_loop(
             next_id += 1;
             let mut conn = Conn::new(stream);
             conn.try_flush(); // start the handshake
-            crate::obs::event_adopted();
+            crate::obs::EVENT_ADOPTED.inc();
             conns.insert(id, conn);
         }
         for (id, payload) in inbound.completions {
@@ -521,7 +521,7 @@ pub(crate) fn worker_loop(
             std::thread::sleep(Duration::from_millis(5));
             continue;
         }
-        crate::obs::event_wakeup();
+        crate::obs::EVENT_WAKEUPS.inc();
         if pollfds[0].revents != 0 {
             drain_wake_pipe(&wake_rx);
         }
@@ -547,7 +547,7 @@ pub(crate) fn worker_loop(
                 conn.try_flush();
             }
         }
-        crate::obs::event_events(ready);
+        crate::obs::EVENT_EVENTS.add(ready as u64);
     }
 }
 

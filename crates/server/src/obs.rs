@@ -1,19 +1,19 @@
-//! `qr-obs` instrumentation for the daemon: request latency, queue
-//! depth, busy rejections, connection/accept accounting, drain time.
+//! `qr-obs` instrumentation for the daemon, declared as
+//! [`qr_obs::Metric`] statics: request latency, queue depth, busy
+//! rejections, connection/accept accounting, drain time.
 //!
-//! Every hook is gated on [`qr_obs::enabled`] and touches only
-//! process-local atomics — nothing here feeds back into job execution,
-//! responses, or the store, so recordings and `repro` output are
-//! byte-identical with metrics on or off.
+//! Every family touches only process-local atomics — nothing here feeds
+//! back into job execution, responses, or the store, so recordings and
+//! `repro` output are byte-identical with metrics on or off.
 
 use crate::proto::Request;
-use qr_obs::{Counter, Gauge, Histogram, LATENCY_US};
-use std::sync::{Arc, OnceLock};
+use qr_obs::{Counter, Gauge, Histogram, Metric, LATENCY_US};
 use std::time::Instant;
 
-/// Wire-request kinds, indexed by the position returned by
-/// [`kind_index`]. One label value per [`Request`] variant.
-const KINDS: [&str; 12] = [
+/// Wire-request kind labels, indexed by the kind [`request_key`]
+/// returns. One label value per [`Request`] variant; trace spans use
+/// them too.
+pub(crate) const KINDS: [&str; 12] = [
     "ping",
     "submit_workload",
     "submit_program",
@@ -28,275 +28,137 @@ const KINDS: [&str; 12] = [
     "query",
 ];
 
-fn kind_index(request: &Request) -> usize {
-    match request {
-        Request::Ping => 0,
-        Request::SubmitWorkload { .. } => 1,
-        Request::SubmitProgram { .. } => 2,
-        Request::Jobs => 3,
-        Request::Stats => 4,
-        Request::Fetch { .. } => 5,
-        Request::Replay { .. } => 6,
-        Request::Verify { .. } => 7,
-        Request::Races { .. } => 8,
-        Request::Shutdown => 9,
-        Request::Metrics => 10,
-        Request::Query { .. } => 11,
+/// The request's kind (an index into [`KINDS`]) and the session it
+/// names, 0 when it names none. Computed before the handler consumes
+/// the request.
+pub(crate) fn request_key(request: &Request) -> (usize, u64) {
+    match *request {
+        Request::Ping => (0, 0),
+        Request::SubmitWorkload { .. } => (1, 0),
+        Request::SubmitProgram { .. } => (2, 0),
+        Request::Jobs => (3, 0),
+        Request::Stats => (4, 0),
+        Request::Fetch { id } => (5, id),
+        Request::Replay { id } => (6, id),
+        Request::Verify { id } => (7, id),
+        Request::Races { id } => (8, id),
+        Request::Shutdown => (9, 0),
+        Request::Metrics => (10, 0),
+        Request::Query { id, .. } => (11, id),
     }
 }
 
-/// The request kind's metric label (also used by trace spans).
-pub(crate) fn kind_label(request: &Request) -> &'static str {
-    KINDS[kind_index(request)]
-}
+static REQUESTS: Metric<Counter, 12> = Metric::counters(
+    "qr_server_requests_total",
+    "Wire requests handled, by request kind.",
+    "kind",
+    || KINDS,
+);
 
-fn request_counters() -> &'static [Arc<Counter>; 12] {
-    static CELL: OnceLock<[Arc<Counter>; 12]> = OnceLock::new();
-    CELL.get_or_init(|| {
-        KINDS.map(|kind| {
-            qr_obs::global().counter(
-                "qr_server_requests_total",
-                "Wire requests handled, by request kind.",
-                &[("kind", kind)],
-            )
-        })
-    })
-}
+static REQUEST_LATENCY: Metric<Histogram, 12> = Metric::histograms(
+    "qr_server_request_latency_us",
+    "Wire request handling latency in microseconds, by request kind.",
+    "kind",
+    || KINDS,
+    LATENCY_US,
+);
 
-fn latency_histograms() -> &'static [Arc<Histogram>; 12] {
-    static CELL: OnceLock<[Arc<Histogram>; 12]> = OnceLock::new();
-    CELL.get_or_init(|| {
-        KINDS.map(|kind| {
-            qr_obs::global().histogram(
-                "qr_server_request_latency_us",
-                "Wire request handling latency in microseconds, by request kind.",
-                &[("kind", kind)],
-                LATENCY_US,
-            )
-        })
-    })
-}
+pub(crate) static QUEUE_DEPTH: Metric<Gauge> = Metric::gauge(
+    "qr_server_queue_depth",
+    "Jobs currently waiting in the worker-pool queue.",
+);
 
-fn depth_gauge() -> &'static Arc<Gauge> {
-    static CELL: OnceLock<Arc<Gauge>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().gauge(
-            "qr_server_queue_depth",
-            "Jobs currently waiting in the worker-pool queue.",
-            &[],
-        )
-    })
-}
+pub(crate) static BUSY_REJECTIONS: Metric<Counter> = Metric::counter(
+    "qr_server_busy_rejections_total",
+    "Submissions rejected because the worker queue was full.",
+);
 
-fn busy_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_busy_rejections_total",
-            "Submissions rejected because the worker queue was full.",
-            &[],
-        )
-    })
-}
+pub(crate) static CONNECTIONS: Metric<Counter> = Metric::counter(
+    "qr_server_connections_total",
+    "Connections accepted over the server's lifetime.",
+);
 
-fn connection_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_connections_total",
-            "Connections accepted over the server's lifetime.",
-            &[],
-        )
-    })
-}
+/// Moved by +1 on adopt and -1 on close — a delta, not a set, so
+/// several in-process servers sharing the global registry stay
+/// additive.
+pub(crate) static OPEN_CONNECTIONS: Metric<Gauge> = Metric::gauge(
+    "qr_server_open_connections",
+    "Connections currently owned by the event loop.",
+);
 
-fn open_connections_gauge() -> &'static Arc<Gauge> {
-    static CELL: OnceLock<Arc<Gauge>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().gauge(
-            "qr_server_open_connections",
-            "Connections currently owned by the event loop.",
-            &[],
-        )
-    })
-}
+pub(crate) static EVENT_WAKEUPS: Metric<Counter> = Metric::counter(
+    "qr_server_event_loop_wakeups_total",
+    "Event-worker poll returns (readiness or timeout).",
+);
 
-fn event_wakeup_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_event_loop_wakeups_total",
-            "Event-worker poll returns (readiness or timeout).",
-            &[],
-        )
-    })
-}
+pub(crate) static EVENT_EVENTS: Metric<Counter> = Metric::counter(
+    "qr_server_event_loop_events_total",
+    "Connection readiness events handled by the event workers.",
+);
 
-fn event_events_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_event_loop_events_total",
-            "Connection readiness events handled by the event workers.",
-            &[],
-        )
-    })
-}
+pub(crate) static EVENT_ADOPTED: Metric<Counter> = Metric::counter(
+    "qr_server_event_loop_conns_adopted_total",
+    "Connections handed from the accept loop to an event worker.",
+);
 
-fn event_adopted_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_event_loop_conns_adopted_total",
-            "Connections handed from the accept loop to an event worker.",
-            &[],
-        )
-    })
-}
+pub(crate) static ACCEPT_ERRORS: Metric<Counter> = Metric::counter(
+    "qr_server_accept_errors_total",
+    "Accept-loop errors (logged, backed off, and retried).",
+);
 
-fn accept_error_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_accept_errors_total",
-            "Accept-loop errors (logged, backed off, and retried).",
-            &[],
-        )
-    })
-}
+pub(crate) static WORKER_PANICS: Metric<Counter> = Metric::counter(
+    "qr_server_worker_panics_total",
+    "Worker-pool tasks that panicked (contained; the worker survived).",
+);
 
-fn panic_counter() -> &'static Arc<Counter> {
-    static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().counter(
-            "qr_server_worker_panics_total",
-            "Worker-pool tasks that panicked (contained; the worker survived).",
-            &[],
-        )
-    })
-}
+pub(crate) static DRAIN_LATENCY: Metric<Histogram> = Metric::histogram(
+    "qr_server_drain_latency_us",
+    "Shutdown drain time (connections + queued jobs) in microseconds.",
+    LATENCY_US,
+);
 
-fn drain_histogram() -> &'static Arc<Histogram> {
-    static CELL: OnceLock<Arc<Histogram>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        qr_obs::global().histogram(
-            "qr_server_drain_latency_us",
-            "Shutdown drain time (connections + queued jobs) in microseconds.",
-            &[],
-            LATENCY_US,
-        )
-    })
-}
+/// Series index of queries that re-executed.
+pub(crate) const EXECUTED: usize = 0;
+/// Series index of idempotence-cache hits that skipped re-execution.
+pub(crate) const CACHED: usize = 1;
 
-/// `Some(now)` only when metrics are enabled, so disabled hot paths
-/// never read the clock.
-pub(crate) fn clock() -> Option<Instant> {
-    qr_obs::enabled().then(Instant::now)
-}
+pub(crate) static QUERIES: Metric<Counter, 2> = Metric::counters(
+    "qr_server_queries_total",
+    "Time-travel queries answered, by outcome (executed vs idempotence-cache hit).",
+    "outcome",
+    || ["executed", "cached"],
+);
 
-/// Records one handled request: count + latency by kind.
+/// Records one handled request of kind `kind` that started at `start`
+/// (a [`qr_obs::clock`] reading): count + latency by kind.
 pub(crate) fn request_handled(kind: usize, start: Option<Instant>) {
-    if let Some(start) = start {
-        request_counters()[kind].inc();
-        latency_histograms()[kind].observe_since(start);
+    if start.is_some() {
+        REQUESTS.inc_at(kind);
+        REQUEST_LATENCY.observe_since_at(kind, start);
     }
 }
 
-/// The request's index for [`request_handled`] (computed before the
-/// request value is consumed by the handler).
-pub(crate) fn request_index(request: &Request) -> usize {
-    kind_index(request)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Tracks the worker-pool queue depth after a push or pop.
-pub(crate) fn queue_depth(depth: usize) {
-    if qr_obs::enabled() {
-        depth_gauge().set(depth as i64);
-    }
-}
-
-/// Counts one backpressure rejection.
-pub(crate) fn busy_rejection() {
-    if qr_obs::enabled() {
-        busy_counter().inc();
-    }
-}
-
-/// Counts one accepted connection.
-pub(crate) fn connection_opened() {
-    if qr_obs::enabled() {
-        connection_counter().inc();
-    }
-}
-
-/// Moves the open-connections gauge by `delta` (+1 on adopt, -1 on
-/// close — a delta, not a set, so several in-process servers sharing
-/// the global registry stay additive).
-pub(crate) fn connection_delta(delta: i64) {
-    if qr_obs::enabled() {
-        open_connections_gauge().add(delta);
-    }
-}
-
-/// Counts one event-worker poll return.
-pub(crate) fn event_wakeup() {
-    if qr_obs::enabled() {
-        event_wakeup_counter().inc();
-    }
-}
-
-/// Counts `n` connection readiness events handled in one poll return.
-pub(crate) fn event_events(n: usize) {
-    if qr_obs::enabled() && n > 0 {
-        event_events_counter().add(n as u64);
-    }
-}
-
-/// Counts one connection adopted by an event worker.
-pub(crate) fn event_adopted() {
-    if qr_obs::enabled() {
-        event_adopted_counter().inc();
-    }
-}
-
-/// Counts one accept-loop error.
-pub(crate) fn accept_error() {
-    if qr_obs::enabled() {
-        accept_error_counter().inc();
-    }
-}
-
-/// Counts one contained worker panic.
-pub(crate) fn task_panicked() {
-    if qr_obs::enabled() {
-        panic_counter().inc();
-    }
-}
-
-/// Records how long shutdown took to drain connections and jobs.
-pub(crate) fn drain_finished(start: Option<Instant>) {
-    if let Some(start) = start {
-        drain_histogram().observe_since(start);
-    }
-}
-
-fn query_counters() -> &'static [Arc<Counter>; 2] {
-    static CELL: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
-    CELL.get_or_init(|| {
-        ["executed", "cached"].map(|outcome| {
-            qr_obs::global().counter(
-                "qr_server_queries_total",
-                "Time-travel queries answered, by outcome (executed vs idempotence-cache hit).",
-                &[("outcome", outcome)],
-            )
-        })
-    })
-}
-
-/// Counts one answered time-travel query; `cached` marks an
-/// idempotence-cache hit that skipped re-execution.
-pub(crate) fn query_answered(cached: bool) {
-    if qr_obs::enabled() {
-        query_counters()[usize::from(cached)].inc();
+    /// Touches every family once, so hard-to-trigger ones (worker
+    /// panics, accept errors) are pinned too.
+    #[test]
+    fn metric_catalog_is_pinned() {
+        request_handled(0, qr_obs::clock());
+        QUEUE_DEPTH.set(0);
+        BUSY_REJECTIONS.inc();
+        CONNECTIONS.inc();
+        OPEN_CONNECTIONS.add(0);
+        EVENT_WAKEUPS.inc();
+        EVENT_EVENTS.add(1);
+        EVENT_ADOPTED.inc();
+        ACCEPT_ERRORS.inc();
+        WORKER_PANICS.inc();
+        DRAIN_LATENCY.observe_since(qr_obs::clock());
+        QUERIES.inc_at(CACHED);
+        let text = qr_obs::global().render();
+        assert_eq!(qr_obs::catalog(&text, &["qr_server_"]), include_str!("obs_catalog.txt"));
     }
 }

@@ -94,7 +94,7 @@ impl WorkerPool {
             return Err((task, queued));
         }
         state.queue.push_back(task);
-        crate::obs::queue_depth(state.queue.len());
+        crate::obs::QUEUE_DEPTH.set(state.queue.len() as i64);
         drop(state);
         self.inner.wake.notify_one();
         Ok(())
@@ -147,7 +147,7 @@ fn worker_loop(inner: &Inner) {
             loop {
                 if let Some(task) = state.queue.pop_front() {
                     state.active += 1;
-                    crate::obs::queue_depth(state.queue.len());
+                    crate::obs::QUEUE_DEPTH.set(state.queue.len() as i64);
                     break task;
                 }
                 if state.shutting_down {
@@ -162,7 +162,7 @@ fn worker_loop(inner: &Inner) {
         let panicked =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err();
         if panicked {
-            crate::obs::task_panicked();
+            crate::obs::WORKER_PANICS.inc();
         }
         let mut state = inner.lock();
         state.active -= 1;

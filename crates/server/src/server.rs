@@ -1,7 +1,7 @@
 //! The `quickrecd` daemon: accept loop, job execution, shutdown.
 //!
 //! The accept loop hands every connection to the event-driven
-//! nonblocking layer ([`crate::event`]): N event workers each
+//! nonblocking layer (`crate::event`): N event workers each
 //! multiplex thousands of connections over a `poll(2)` readiness loop,
 //! speaking the wire protocol ([`crate::proto`]) through incremental
 //! per-connection state machines. RECORD/REPLAY/VERIFY/RACES jobs (and
@@ -192,7 +192,7 @@ impl ServerHandle {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        let drain_start = crate::obs::clock();
+        let drain_start = qr_obs::clock();
         // Event workers flush pending responses and wait for in-flight
         // offloaded queries (their own 30s deadline bounds peers stuck
         // mid-exchange), so they must join before the pool drains.
@@ -200,7 +200,7 @@ impl ServerHandle {
             let _ = handle.join();
         }
         self.pool.drain();
-        crate::obs::drain_finished(drain_start);
+        crate::obs::DRAIN_LATENCY.observe_since(drain_start);
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
@@ -305,18 +305,18 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, pool: &Arc<WorkerPool>
                     break; // the shutdown wake-up connection (or a raced client)
                 }
                 shared.counters.connections.fetch_add(1, Ordering::SeqCst);
-                crate::obs::connection_opened();
+                crate::obs::CONNECTIONS.inc();
                 // Over the connection cap: refuse with a structured
                 // Busy instead of dropping silently. The open gauge is
                 // never incremented on this path, so it stays balanced.
                 if shared.open_connections.load(Ordering::SeqCst) >= shared.max_connections {
                     shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-                    crate::obs::busy_rejection();
+                    crate::obs::BUSY_REJECTIONS.inc();
                     refuse_overloaded(stream, pool.queued());
                     continue;
                 }
                 shared.open_connections.fetch_add(1, Ordering::SeqCst);
-                crate::obs::connection_delta(1);
+                crate::obs::OPEN_CONNECTIONS.add(1);
                 shared.router.adopt(stream);
             }
             Err(e) => {
@@ -324,7 +324,7 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, pool: &Arc<WorkerPool>
                 // surfaced — counted and logged with the endpoint —
                 // not silently swallowed; the backoff keeps a
                 // persistent error from spinning the loop.
-                crate::obs::accept_error();
+                crate::obs::ACCEPT_ERRORS.inc();
                 eprintln!(
                     "quickrecd: accept on {} failed: {e}",
                     shared.endpoint.describe()
@@ -419,7 +419,7 @@ fn handle_query(
     // nothing, so they neither consult nor populate the cache.
     if !dry_run && replay_id != 0 {
         if let Some(payload) = session.query_cache.get(&replay_id) {
-            crate::obs::query_answered(true);
+            crate::obs::QUERIES.inc_at(crate::obs::CACHED);
             return Response::QueryAnswer { cached: true, payload: payload.clone() };
         }
     }
@@ -446,7 +446,7 @@ fn handle_query(
                     s.query_cache.insert(replay_id, payload.clone());
                 });
             }
-            crate::obs::query_answered(false);
+            crate::obs::QUERIES.inc_at(crate::obs::EXECUTED);
             Response::QueryAnswer { cached: false, payload }
         }
         Err(e) => Response::Error { message: e.to_string() },
@@ -499,7 +499,7 @@ fn submit_record(
         Err((_task, queued)) => {
             shared.registry.remove(id);
             shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-            crate::obs::busy_rejection();
+            crate::obs::BUSY_REJECTIONS.inc();
             Response::Busy { queued: queued as u32 }
         }
     }
@@ -535,7 +535,7 @@ fn submit_followup(
                 s.state = session.state.clone();
             });
             shared.counters.rejected_busy.fetch_add(1, Ordering::SeqCst);
-            crate::obs::busy_rejection();
+            crate::obs::BUSY_REJECTIONS.inc();
             Response::Busy { queued: queued as u32 }
         }
     }

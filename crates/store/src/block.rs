@@ -101,7 +101,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 pub fn compress_with_block_size(data: &[u8], block_size: usize) -> Vec<u8> {
     assert!(block_size > 0, "block size must be positive");
     assert!(block_size <= lz::MAX_INPUT, "block size exceeds the LZ u32 offset bound");
-    let start = crate::obs::clock();
+    let start = qr_obs::clock();
     let blocks: Vec<&[u8]> = data.chunks(block_size).collect();
     let mut payloads = Vec::with_capacity(blocks.len());
     let mut index = Vec::new();
@@ -255,14 +255,14 @@ fn decompress_block(payload: &[u8], entry: &BlockEntry, i: usize) -> Result<Vec<
 ///
 /// Returns [`QrError::Corrupt`] for any frame, index or block damage.
 pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
-    let start = crate::obs::clock();
+    let start = qr_obs::clock();
     let index = read_index(buf)?;
     let records = frame::read(buf, PayloadKind::CompressedLog, "compressed log")?;
     let mut out = Vec::with_capacity(index.total_len as usize);
     for (i, (entry, rec)) in index.blocks.iter().zip(&records[1..]).enumerate() {
         out.extend_from_slice(&decompress_block(rec, entry, i)?);
     }
-    crate::obs::decoded(start);
+    crate::obs::DECODE_LATENCY.observe_since(start);
     Ok(out)
 }
 

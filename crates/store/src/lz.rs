@@ -32,7 +32,7 @@
 //! ([`MAX_CHAIN`] candidates per position instead of one) with a lazy
 //! one-byte lookahead, and extends matches eight bytes per compare.
 //! Deeper search costs compress throughput and buys ratio — the
-//! [`PATIENCE`], [`NICE_LEN`] and sparse-insert bounds keep that trade
+//! `PATIENCE`, `NICE_LEN` and sparse-insert bounds keep that trade
 //! at roughly 10–30% smaller output for well under half the greedy
 //! matcher's speed deficit a naive chain walk would pay. The original
 //! single-candidate greedy matcher survives as [`compress_greedy`], and
@@ -90,7 +90,7 @@ const INSERT_TAIL: usize = 12;
 const NO_POS: u32 = u32::MAX;
 
 /// Largest input [`compress`] accepts. The match-finder stores byte
-/// positions as `u32` (with [`NO_POS`] reserved as the sentinel), so a
+/// positions as `u32` (with `NO_POS` reserved as the sentinel), so a
 /// larger input would silently truncate offsets into wrong — but
 /// well-formed — back-references. Block-layer callers compress in
 /// [`crate::block::BLOCK_SIZE`] chunks, which a compile-time assertion
@@ -190,7 +190,7 @@ impl Chains {
 /// The matcher walks bounded hash chains and defers to a strictly
 /// longer match one byte ahead (lazy matching), so on the periodic logs
 /// the store sees it finds clearly better references than
-/// [`compress_greedy`]; the [`PATIENCE`]/[`DENSE_INSERT_BELOW`] speed
+/// [`compress_greedy`]; the `PATIENCE`/`DENSE_INSERT_BELOW` speed
 /// bounds mean the win is not a per-input guarantee (the ratio tests
 /// allow a small adversarial-corpus slack).
 ///
