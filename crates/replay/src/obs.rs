@@ -68,7 +68,7 @@ pub(crate) static SEEKS: Metric<Counter, 2> = Metric::counters(
 );
 
 pub(crate) static ORDER_RECONSTRUCT: Metric<Histogram> = Metric::histogram(
-    "qr_replay_order_reconstruct_seconds",
+    "qr_replay_order_reconstruct_us",
     "Microseconds spent rebuilding the replay DAG from a recorded order log",
     qr_obs::LATENCY_US,
 );
